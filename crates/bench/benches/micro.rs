@@ -106,8 +106,7 @@ fn bench_caches_and_dram(h: &mut Harness) {
     });
 
     // Long idle windows between touches of a small bank set: every access
-    // drains an expired bank-ready event and accounts the skipped window —
-    // the event-calendar path the lazy slab model never exercised.
+    // drains an expired bank-ready event and accounts the idle cycles.
     let mut dram = DramModel::new(&cfg.dram);
     let mut rng = Xoshiro256::seed_from(9);
     let mut now = 0u64;
@@ -138,9 +137,9 @@ fn bench_caches_and_dram(h: &mut Harness) {
 
 fn bench_scheduler(h: &mut Harness) {
     h.group("scheduler");
-    use ivl_simulator::calendar::EventCalendar;
-    // Steady-state pop + reschedule over a calendar sized like a large
-    // multi-domain system (cores plus deferred model events in flight).
+    use ivl_sim_core::calendar::EventCalendar;
+    // Steady-state pop + reschedule over a calendar far larger than any
+    // simulated system's core count.
     let mut cal: EventCalendar<u32> = EventCalendar::with_capacity(256);
     let mut rng = Xoshiro256::seed_from(3);
     for i in 0..256u32 {
@@ -152,35 +151,6 @@ fn bench_scheduler(h: &mut Harness) {
         now = now.max(at);
         cal.schedule(now + 1 + rng.next_below(200), id as u64, id);
         id
-    });
-
-    // Heterogeneous churn: core/bank/bus/writeback events cycling through
-    // one typed heap, the workload the event-driven DRAM model adds on top
-    // of plain core scheduling.
-    use ivl_simulator::calendar::CalendarEvent;
-    let mut cal: EventCalendar<CalendarEvent> = EventCalendar::with_capacity(256);
-    let mut rng = Xoshiro256::seed_from(5);
-    for i in 0..64u32 {
-        let ev = match i % 4 {
-            0 => CalendarEvent::CoreReady(i as usize),
-            1 => CalendarEvent::BankReady(i),
-            2 => CalendarEvent::BusDrain(i % 4),
-            _ => CalendarEvent::DeferredWriteback(i % 4),
-        };
-        cal.schedule(rng.next_below(1_000), ev.tie(), ev);
-    }
-    let mut now = 0u64;
-    h.bench("calendar_mixed_events", || {
-        let (at, ev) = cal.pop().expect("calendar stays populated");
-        now = now.max(at);
-        let next = match ev {
-            CalendarEvent::CoreReady(c) => CalendarEvent::BankReady(c as u32),
-            CalendarEvent::BankReady(b) => CalendarEvent::BusDrain(b % 4),
-            CalendarEvent::BusDrain(c) => CalendarEvent::DeferredWriteback(c),
-            CalendarEvent::DeferredWriteback(c) => CalendarEvent::CoreReady(c as usize),
-        };
-        cal.schedule(now + 1 + rng.next_below(200), next.tie(), next);
-        now
     });
 }
 
@@ -265,124 +235,6 @@ fn bench_workload_generator(h: &mut Harness) {
     h.bench("trace_next_event", || gen.next_event());
 }
 
-fn bench_concurrency(h: &mut Harness) {
-    use ivleague::sharded::{DomainAlloc, ShardedForest};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Barrier};
-
-    h.group("concurrency");
-    // Serial baseline: the single-threaded NFL allocator's alloc/free
-    // pair — the slot-allocation path the sharded forest parallelizes.
-    let mut nfl = Nfl::new((0..512).collect(), 8, 8);
-    let serial_ns = h
-        .bench("serial_nfl_alloc_pair", || {
-            let a = nfl.alloc().expect("capacity");
-            nfl.free(a.tag, a.slot)
-        })
-        .median_ns;
-
-    // The same pair on the sharded forest, uncontended: the price of the
-    // atomics when nobody is racing.
-    let forest = ShardedForest::new(24, 64);
-    let mut alloc = DomainAlloc::new(&forest, DomainId::new_unchecked(1));
-    let pair_1t_ns = h
-        .bench("sharded_alloc_pair_1t", || {
-            let s = alloc.alloc().expect("capacity");
-            alloc.free(s)
-        })
-        .median_ns;
-    drop(alloc);
-
-    // The storm: 8 persistent threads, each slamming alloc/free pairs
-    // between two barrier crossings per timed closure call. The timed
-    // quantity is one full round — THREADS × PAIRS_PER_ROUND pairs of
-    // aggregate work — so per-pair cost is the median divided by that.
-    const STORM_THREADS: usize = 8;
-    const PAIRS_PER_ROUND: u64 = 1024;
-    let forest = Arc::new(ShardedForest::new(64, 64));
-    let round = Arc::new(Barrier::new(STORM_THREADS + 1));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
-    for t in 0..STORM_THREADS {
-        let forest = Arc::clone(&forest);
-        let round = Arc::clone(&round);
-        let stop = Arc::clone(&stop);
-        workers.push(std::thread::spawn(move || {
-            let mut alloc = DomainAlloc::new(&forest, DomainId::new_unchecked(t as u16 + 1));
-            loop {
-                round.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                for _ in 0..PAIRS_PER_ROUND {
-                    let s = alloc.alloc().expect("storm forest sized for all domains");
-                    alloc.free(s);
-                }
-                round.wait();
-            }
-            alloc.destroy();
-        }));
-    }
-    let storm_round_ns = h
-        .bench("sharded_alloc_storm_8t", || {
-            round.wait(); // release the round
-            round.wait(); // all threads done
-        })
-        .median_ns;
-    stop.store(true, Ordering::Release);
-    round.wait();
-    for w in workers {
-        w.join().expect("storm worker");
-    }
-    assert!(forest.fully_free(), "storm left claims behind");
-
-    let storm_pair_ns = storm_round_ns / (STORM_THREADS as f64 * PAIRS_PER_ROUND as f64);
-    if serial_ns > 0.0 && storm_pair_ns > 0.0 {
-        // The aggregate ratio is bounded above by the host's parallelism:
-        // on a single-CPU box the best possible is ~1.0x (which then
-        // demonstrates zero contention overhead, not zero scaling).
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "    concurrency: {STORM_THREADS}-thread aggregate throughput \
-             {:.1}x the serial NFL pair, {:.1}x the uncontended sharded pair \
-             ({cpus} CPU(s) available)",
-            serial_ns / storm_pair_ns,
-            pair_1t_ns / storm_pair_ns
-        );
-    }
-}
-
-fn bench_par_system(h: &mut Harness) {
-    use ivl_simulator::{run_mix, run_mix_par, RunConfig, SchemeKind};
-    use ivl_workloads::mixes::mix_by_name;
-
-    h.group("par_system");
-    // A deliberately tiny run: the point is tracking engine overhead
-    // trends, not figure-scale wall clock.
-    let mix = mix_by_name("S-1").expect("mix");
-    let run = RunConfig {
-        warmup_accesses: 500,
-        measure_accesses: 2_000,
-        seed: 7,
-    };
-    let serial_ns = h
-        .bench("serial_system_step", || {
-            run_mix(mix, SchemeKind::IvPro, &run)
-        })
-        .median_ns;
-    let par_ns = h
-        .bench("par_system_step", || {
-            run_mix_par(mix, SchemeKind::IvPro, &run, 2)
-        })
-        .median_ns;
-    if par_ns > 0.0 {
-        println!(
-            "    par_system: serial/par wall-clock ratio {:.2}x on the tiny step",
-            serial_ns / par_ns
-        );
-    }
-}
-
 fn main() {
     let mut h = Harness::from_env("micro");
     bench_crypto(&mut h);
@@ -392,7 +244,5 @@ fn main() {
     bench_nfl_and_forest(&mut h);
     bench_scheme_access_paths(&mut h);
     bench_workload_generator(&mut h);
-    bench_concurrency(&mut h);
-    bench_par_system(&mut h);
     h.finish();
 }

@@ -17,12 +17,11 @@ use ivl_attack::{run_attack_with_obs, AttackConfig, TargetScheme};
 use ivl_sim_core::config::SystemConfig;
 use ivl_sim_core::obs::trace::{parse_jsonl, probe_observations};
 use ivl_sim_core::obs::{
-    write_stats_json, write_trace_jsonl, Obs, ObsConfig, StatsRegistry, TimelineData, TraceFilter,
-    Tracer, DEFAULT_TRACE_CAP,
+    write_stats_json, write_trace_jsonl, Obs, ObsConfig, StatsRegistry, TraceFilter, Tracer,
+    DEFAULT_TRACE_CAP,
 };
-use ivl_simulator::{run_mix_observed, run_mix_observed_par, EngineKind, RunConfig, SchemeKind};
+use ivl_simulator::{run_mix_observed, RunConfig, SchemeKind};
 use ivl_workloads::mixes::mix_by_name;
-use ivleague::sharded::{DomainAlloc, ShardedForest};
 
 fn env_path(var: &str, default: &str) -> PathBuf {
     match std::env::var(var) {
@@ -32,12 +31,6 @@ fn env_path(var: &str, default: &str) -> PathBuf {
         _ => PathBuf::from(default),
     }
 }
-
-/// Threads and alloc/free pairs per thread of the embedded sharded-forest
-/// storm; `forest.claims`/`forest.releases` must both land on exactly
-/// `STORM_THREADS * STORM_PAIRS`.
-const STORM_THREADS: usize = 4;
-const STORM_PAIRS: u64 = 5_000;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args()
@@ -77,18 +70,9 @@ fn main() -> ExitCode {
         obs_cfg.trace_filter = TraceFilter::parse(&f);
     }
 
-    let engine = EngineKind::from_env();
-    eprintln!(
-        "[obs_run] simulating {mix_name} under {} ({engine:?} engine)",
-        scheme.label()
-    );
+    eprintln!("[obs_run] simulating {mix_name} under {}", scheme.label());
     let sys = SystemConfig::default();
-    let observed = match engine {
-        EngineKind::Serial => run_mix_observed(mix, scheme, &run, &sys, &obs_cfg),
-        EngineKind::Par { workers } => {
-            run_mix_observed_par(mix, scheme, &run, &sys, &obs_cfg, workers)
-        }
-    };
+    let observed = run_mix_observed(mix, scheme, &run, &sys, &obs_cfg);
 
     // A short attack against the global tree, traced separately; its
     // cycles are offset past the mix run's so the merged stream keeps one
@@ -120,57 +104,6 @@ fn main() -> ExitCode {
     let mut registry = observed.registry;
     registry.set_gauge("attack.accuracy", attack.accuracy);
     registry.set_counter("attack.probes", 2 * attack.samples.len() as u64);
-
-    // Exercise the sharded forest allocator under real threads and export
-    // its contention counters into the same registry (`forest.*`). The
-    // op counts are fixed, so claims/releases reconcile exactly below no
-    // matter how the threads interleave. Each thread additionally records
-    // its own `forest.w<t>.claims` / `forest.w<t>.cas_retries` timeline
-    // series keyed on its op index (threads have no simulated clock), and
-    // the per-thread snapshots merge deterministically after the join —
-    // the same worker-series merge the ParSystem engine uses.
-    eprintln!("[obs_run] running sharded-forest storm ({STORM_THREADS} threads)");
-    let forest = ShardedForest::new(16, 64);
-    let storm_tl = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(STORM_THREADS);
-        for t in 0..STORM_THREADS {
-            let forest = &forest;
-            handles.push(s.spawn(move || {
-                let mut alloc = DomainAlloc::new(
-                    forest,
-                    ivl_sim_core::domain::DomainId::new_unchecked(t as u16 + 1),
-                );
-                let mut tl = TimelineData::new(256, 1 << 12);
-                let claims_series = format!("forest.w{t}.claims");
-                let retries_series = format!("forest.w{t}.cas_retries");
-                let mut last_retries = 0u64;
-                let mut held = Vec::new();
-                for i in 0..STORM_PAIRS {
-                    let h = alloc.alloc().expect("storm forest sized for all domains");
-                    tl.count(&claims_series, i, 1);
-                    let r = alloc.cas_retries();
-                    if r > last_retries {
-                        tl.count(&retries_series, i, r - last_retries);
-                        last_retries = r;
-                    }
-                    held.push(h);
-                    if held.len() == 32 || i + 1 == STORM_PAIRS {
-                        for h in held.drain(..) {
-                            assert!(alloc.free(h), "live handle rejected");
-                        }
-                    }
-                }
-                tl
-            }));
-        }
-        let mut merged = TimelineData::new(256, 1 << 12);
-        for h in handles {
-            merged.merge(&h.join().expect("storm thread panicked"));
-        }
-        merged
-    });
-    let forest_balanced = forest.fully_free();
-    forest.export_stats("forest", &mut registry);
 
     let trace_path = env_path("IVL_TRACE", "ivl_trace.jsonl");
     let stats_path = env_path("IVL_STATS_JSON", "ivl_stats.json");
@@ -246,68 +179,17 @@ fn main() -> ExitCode {
                 parsed.gauge("attack.accuracy") == Some(attack.accuracy),
                 "attack.accuracy did not round-trip",
             );
-            // Idle-window skipping must actually engage on the default
+            // Idle-cycle accounting must see idle time on the default
             // mix: cores sleep between misses, so touched banks always
-            // free up ahead of the next request. The counter is part of
-            // the deterministic figure state (serial == ParSystem), which
-            // the CI obs leg cross-checks across engines.
+            // free up ahead of the next request.
             check(
                 parsed
                     .counter("dram.idle_skipped_cycles")
                     .is_some_and(|v| v > 0),
-                "dram.idle_skipped_cycles is zero — idle-window skipping never engaged",
+                "dram.idle_skipped_cycles is zero — idle-cycle accounting saw no idle bank time",
             );
-            let expected_pairs = STORM_THREADS as u64 * STORM_PAIRS;
-            check(
-                parsed.counter("forest.claims") == Some(expected_pairs),
-                "forest.claims does not reconcile with the storm's op count",
-            );
-            check(
-                parsed.counter("forest.releases") == Some(expected_pairs),
-                "forest.releases does not reconcile with the storm's op count",
-            );
-            check(forest_balanced, "forest storm left claims behind");
-            if let EngineKind::Par { workers } = engine {
-                // The engine clamps to the mix's generator count, so only
-                // the upper bound is checkable from here.
-                check(
-                    parsed
-                        .counter("par.workers")
-                        .is_some_and(|w| w >= 1 && w <= workers.max(1) as u64),
-                    "par.workers does not reconcile with the engine config",
-                );
-                check(
-                    parsed.counter("par.epoch_waits").is_some(),
-                    "par.epoch_waits missing from a ParSystem run",
-                );
-                check(
-                    parsed.counter("par.backpressure_waits").is_some(),
-                    "par.backpressure_waits missing from a ParSystem run",
-                );
-            }
         }
     }
-
-    // The merged storm timeline must reconcile with the forest totals:
-    // each thread's claims series sums to its fixed op count, and the
-    // claim-side CAS-loss series can only undercount the forest counter
-    // (which also folds in free-list CAS traffic).
-    let mut storm_retries = 0u64;
-    for t in 0..STORM_THREADS {
-        check(
-            storm_tl.counter_sum(&format!("forest.w{t}.claims")) == Some(STORM_PAIRS),
-            &format!("forest.w{t}.claims series does not sum to the storm's op count"),
-        );
-        storm_retries += storm_tl
-            .counter_sum(&format!("forest.w{t}.cas_retries"))
-            .unwrap_or(0);
-    }
-    check(
-        registry
-            .counter("forest.cas_retries")
-            .is_some_and(|total| storm_retries <= total),
-        "per-thread cas_retries series exceed the forest total",
-    );
 
     if errors.is_empty() {
         eprintln!("[obs_run] validation OK");

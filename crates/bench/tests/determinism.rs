@@ -7,10 +7,19 @@
 //! timing), which would also poison figure reproducibility.
 
 use ivl_bench::run_matrix_on_with_workers;
-use ivl_simulator::{
-    run_mix, run_mix_par, run_mix_with_scheduler, RunConfig, SchedulerKind, SchemeKind,
-};
-use ivl_workloads::mixes::MIXES;
+use ivl_cache::randomized::RandomizedCache;
+use ivl_cache::set_assoc::SetAssocCache;
+use ivl_cache::CacheModel;
+use ivl_dram::DramModel;
+use ivl_secure_mem::subsystem::IvStats;
+use ivl_sim_core::addr::BlockAddr;
+use ivl_sim_core::config::SystemConfig;
+use ivl_sim_core::domain::DomainId;
+use ivl_sim_core::Cycle;
+use ivl_simulator::system::SchemeInstance;
+use ivl_simulator::{run_mix, CoreResult, MixResult, RunConfig, SchemeKind};
+use ivl_workloads::mixes::{Mix, MIXES};
+use ivl_workloads::trace::{MemEvent, TraceGenerator};
 
 const MAIN_SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Baseline,
@@ -19,20 +28,221 @@ const MAIN_SCHEMES: [SchemeKind; 4] = [
     SchemeKind::IvPro,
 ];
 
+struct Core {
+    gen: usize,
+    domain: DomainId,
+    l2: SetAssocCache,
+    now: Cycle,
+    instrs: u64,
+    accesses: u64,
+    measure_start: Cycle,
+    measure_instrs_start: u64,
+    benchmark: &'static str,
+    base_ipc: f64,
+    mlp: f64,
+    inv_ipc: f64,
+}
+
+/// Ordering oracle: `run_mix` rebuilt from the public model objects with
+/// the pre-calendar core picker — a linear `min_by_key` scan over the
+/// cores still inside their access budget (least-advanced core first, ties
+/// to the lowest index), rescanned on every event.
+fn run_mix_linear_scan(mix: &Mix, scheme_kind: SchemeKind, run: &RunConfig) -> MixResult {
+    let cfg = SystemConfig::default();
+    let mut scheme = scheme_kind.build(&cfg);
+    let mut dram = DramModel::new(&cfg.dram);
+    let mut llc = RandomizedCache::with_geometry(
+        cfg.llc.cache.capacity_bytes,
+        cfg.llc.cache.ways,
+        cfg.llc.cache.line_bytes,
+        run.seed ^ 0x11C,
+    );
+    let threads = mix.class.threads_per_process();
+    let proc_range = cfg.total_pages() / 4;
+    let mut gens: Vec<TraceGenerator> = Vec::new();
+    let mut cores: Vec<Core> = Vec::new();
+    for (pi, profile) in mix.profiles().into_iter().enumerate() {
+        let domain = DomainId::new_unchecked(pi as u16 + 1);
+        gens.push(TraceGenerator::with_footprint(
+            profile,
+            domain,
+            pi as u64 * proc_range,
+            run.seed.wrapping_mul(31).wrapping_add(pi as u64),
+            profile.footprint_pages(),
+            proc_range.next_power_of_two() / 2,
+        ));
+        for _ in 0..threads {
+            cores.push(Core {
+                gen: pi,
+                domain,
+                l2: SetAssocCache::with_geometry(
+                    cfg.core.l2.capacity_bytes,
+                    cfg.core.l2.ways,
+                    cfg.core.l2.line_bytes,
+                ),
+                now: 0,
+                instrs: 0,
+                accesses: 0,
+                measure_start: 0,
+                measure_instrs_start: 0,
+                benchmark: profile.name,
+                base_ipc: profile.base_ipc,
+                mlp: profile.mlp,
+                inv_ipc: 1.0 / profile.base_ipc,
+            });
+        }
+    }
+
+    let warmup_total = run.warmup_accesses;
+    let measure_total = warmup_total + run.measure_accesses;
+    let mut measuring = false;
+    let (mut llc_miss_reads, mut read_latency_sum, mut core_accesses) = (0u64, 0u64, 0u64);
+    let mut epoch_stats = IvStats::default();
+    let mut llc_writebacks: Vec<u64> = Vec::new();
+    while let Some(idx) = cores
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.accesses < measure_total)
+        .min_by_key(|(_, c)| c.now)
+        .map(|(i, _)| i)
+    {
+        if !measuring
+            && cores.iter().all(|c| c.accesses >= warmup_total)
+            && gens.iter().all(TraceGenerator::warmed_up)
+        {
+            measuring = true;
+            epoch_stats = *scheme.stats();
+            for c in &mut cores {
+                c.measure_start = c.now;
+                c.measure_instrs_start = c.instrs;
+            }
+        }
+
+        let core = &mut cores[idx];
+        match gens[core.gen].next_event() {
+            MemEvent::Access {
+                block,
+                is_write,
+                gap_instrs,
+            } => {
+                core.accesses += 1;
+                if measuring {
+                    core_accesses += 1;
+                }
+                core.instrs += gap_instrs;
+                core.now += (gap_instrs as f64 * core.inv_ipc) as Cycle;
+                core.now += cfg.core.l2.hit_latency;
+                let l2 = core.l2.access(block.index(), is_write);
+                if l2.hit {
+                    continue;
+                }
+                llc_writebacks.clear();
+                if let Some(e) = l2.evicted.filter(|e| e.dirty) {
+                    llc_writebacks.push(e.key);
+                }
+                core.now += cfg.llc.cache.hit_latency - cfg.core.l2.hit_latency;
+                let llc_out = llc.access(block.index(), is_write);
+                let (now, domain) = (core.now, core.domain);
+                let mut write_back = |key: u64| {
+                    scheme.as_subsystem().data_access(
+                        now,
+                        &mut dram,
+                        BlockAddr::new(key),
+                        domain,
+                        true,
+                    );
+                };
+                if let Some(e) = llc_out.evicted.filter(|e| e.dirty) {
+                    write_back(e.key);
+                }
+                for wb in llc_writebacks.drain(..) {
+                    if let Some(e) = llc.access(wb, true).evicted.filter(|e| e.dirty) {
+                        write_back(e.key);
+                    }
+                }
+                if llc_out.hit {
+                    continue;
+                }
+                let done = scheme
+                    .as_subsystem()
+                    .data_access(now, &mut dram, block, domain, is_write);
+                let latency = done.saturating_sub(now);
+                if measuring && !is_write {
+                    llc_miss_reads += 1;
+                    read_latency_sum += latency;
+                }
+                let service = latency.min(400);
+                core.now += (latency - service) + (service as f64 / core.mlp) as Cycle;
+            }
+            MemEvent::Alloc { page } => {
+                let done = scheme
+                    .as_subsystem()
+                    .page_alloc(core.now, &mut dram, page, core.domain);
+                core.now = done + 200;
+                core.instrs += 50;
+            }
+            MemEvent::Dealloc { page } => {
+                for b in page.blocks() {
+                    core.l2.invalidate(b.index());
+                    llc.invalidate(b.index());
+                }
+                let done =
+                    scheme
+                        .as_subsystem()
+                        .page_dealloc(core.now, &mut dram, page, core.domain);
+                core.now = done + 100;
+                core.instrs += 30;
+            }
+        }
+    }
+
+    let stats = scheme.stats().delta(&epoch_stats);
+    let iv = match &scheme {
+        SchemeInstance::Iv(iv) => Some(iv),
+        _ => None,
+    };
+    let forest = iv.and_then(|iv| iv.forest());
+    let bv = iv.and_then(|iv| iv.bv());
+    MixResult {
+        mix: mix.name,
+        scheme: scheme_kind,
+        cores: cores
+            .iter()
+            .map(|c| CoreResult {
+                benchmark: c.benchmark,
+                instrs: c.instrs - c.measure_instrs_start,
+                cycles: c.now - c.measure_start,
+                base_ipc: c.base_ipc,
+            })
+            .collect(),
+        avg_path_length: stats.avg_path_length(),
+        failed: stats.alloc_failures > 0,
+        stats,
+        utilization: forest.map(|f| f.stats().mean_utilization()),
+        untracked_slots: forest.map(|f| f.stats().untracked_slots),
+        bv_leaked_slots: bv.map(|b| b.leaked_slots()),
+        bv_blocks_scanned: bv.map(|b| b.total_blocks_scanned()),
+        llc_miss_reads,
+        read_latency_sum,
+        core_accesses,
+    }
+}
+
 /// The event-calendar core scheduler must be invisible in the results:
-/// popping core-ready events from a binary heap has to reproduce the
-/// pre-refactor linear `min_by_key` scan's loose global ordering —
-/// least-advanced core first, ties to the lowest core index —
-/// **bit-for-bit**, across the full 16-mix × 4-scheme matrix. Any
-/// divergence means the calendar reordered simultaneous cores (or dropped
-/// or duplicated a requeue), which would silently change every figure.
+/// popping core-ready events from a binary heap (with the
+/// run-until-preempted fast path) has to reproduce the linear
+/// `min_by_key` scan's loose global ordering — least-advanced core first,
+/// ties to the lowest core index — **bit-for-bit**, across the full
+/// 16-mix × 4-scheme matrix. Any divergence means the calendar reordered
+/// simultaneous cores (or dropped or duplicated a requeue), which would
+/// silently change every figure.
 #[test]
 fn event_calendar_is_bit_identical_to_linear_scan() {
     let run = RunConfig::smoke_test();
     for mix in &MIXES {
         for scheme in MAIN_SCHEMES {
-            let linear = run_mix_with_scheduler(mix, scheme, &run, SchedulerKind::LinearScan);
-            let calendar = run_mix_with_scheduler(mix, scheme, &run, SchedulerKind::EventCalendar);
+            let linear = run_mix_linear_scan(mix, scheme, &run);
+            let calendar = run_mix(mix, scheme, &run);
             // `Debug` prints every stat field and every f64 with
             // shortest-round-trip precision, so equal strings ⇔ bit-equal
             // results (modulo NaN, which no field may be anyway).
@@ -42,93 +252,6 @@ fn event_calendar_is_bit_identical_to_linear_scan() {
                 "calendar and linear-scan orderings diverged for {}/{scheme:?}",
                 mix.name
             );
-        }
-    }
-}
-
-/// The heterogeneous calendar must keep the scheduler oracle honest now
-/// that it carries more than core-ready entries: a dense mixed stream of
-/// core/bank/bus/writeback events — many sharing a cycle — has to pop in
-/// exactly the order a linear scan over `(cycle, tie, insertion)` picks,
-/// with the class tie-spaces pinning same-cycle order to cores → banks →
-/// buses → writebacks. This is the ordering contract the event-driven
-/// DRAM model's bank-free/bus-drain scheduling relies on.
-#[test]
-fn mixed_event_kinds_pop_in_linear_scan_order() {
-    use ivl_simulator::calendar::{CalendarEvent, EventCalendar};
-
-    let mut cal: EventCalendar<CalendarEvent> = EventCalendar::new();
-    // Deterministic dense schedule: every cycle in 0..8 gets one event of
-    // each class, inserted in a class-rotated order so insertion order
-    // disagrees with the pinned class order.
-    let mut oracle: Vec<(u64, u64, usize, CalendarEvent)> = Vec::new();
-    let mut seq = 0usize;
-    for i in 0..32u64 {
-        let at = i % 8;
-        let ev = match (i + at) % 4 {
-            0 => CalendarEvent::DeferredWriteback((i % 4) as u32),
-            1 => CalendarEvent::BusDrain((i % 4) as u32),
-            2 => CalendarEvent::BankReady((i % 16) as u32),
-            _ => CalendarEvent::CoreReady((i % 8) as usize),
-        };
-        cal.schedule(at, ev.tie(), ev);
-        oracle.push((at, ev.tie(), seq, ev));
-        seq += 1;
-    }
-    // Linear-scan oracle: repeatedly remove the minimum (cycle, tie, seq).
-    while !oracle.is_empty() {
-        let min = oracle
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(at, tie, s, _))| (at, tie, s))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let (at, _, _, ev) = oracle.remove(min);
-        assert_eq!(cal.pop(), Some((at, ev)), "calendar diverged from scan");
-    }
-    assert_eq!(cal.pop(), None);
-    // Same-cycle class order is pinned regardless of instance ids.
-    for ev in [
-        CalendarEvent::DeferredWriteback(0),
-        CalendarEvent::BusDrain(3),
-        CalendarEvent::BankReady(63),
-        CalendarEvent::CoreReady(7),
-    ] {
-        cal.schedule(5, ev.tie(), ev);
-    }
-    assert_eq!(cal.pop(), Some((5, CalendarEvent::CoreReady(7))));
-    assert_eq!(cal.pop(), Some((5, CalendarEvent::BankReady(63))));
-    assert_eq!(cal.pop(), Some((5, CalendarEvent::BusDrain(3))));
-    assert_eq!(cal.pop(), Some((5, CalendarEvent::DeferredWriteback(0))));
-}
-
-/// The `ParSystem` engine — real threads stepping one simulated system's
-/// cores via decoupled front-ends — must also be invisible in the
-/// results: serial and parallel figure data have to match **bit-for-bit**
-/// over the full 16-mix × 4-scheme matrix at every worker count. The CI
-/// matrix leg re-runs this test at `IVL_WORKERS ∈ {1, 2, 4, 8}`; without
-/// the variable set it sweeps worker counts 1, 2 and 4 itself. Any
-/// divergence means commit-order state leaked into a producer thread (or
-/// a ring reordered a stream), which would silently change every figure
-/// whenever `IVL_PAR_SYSTEM=1`.
-#[test]
-fn par_system_is_bit_identical_to_serial() {
-    let run = RunConfig::smoke_test();
-    let worker_counts: Vec<usize> = match std::env::var("IVL_WORKERS") {
-        Ok(v) => vec![v.trim().parse().expect("IVL_WORKERS must be a number")],
-        Err(_) => vec![1, 2, 4],
-    };
-    for mix in &MIXES {
-        for scheme in MAIN_SCHEMES {
-            let serial = format!("{:?}", run_mix(mix, scheme, &run));
-            for &workers in &worker_counts {
-                let par = format!("{:?}", run_mix_par(mix, scheme, &run, workers));
-                assert_eq!(
-                    serial, par,
-                    "serial and ParSystem runs diverged for {}/{scheme:?} at {workers} workers",
-                    mix.name
-                );
-            }
         }
     }
 }

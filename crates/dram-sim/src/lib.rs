@@ -28,7 +28,7 @@
 //! when the bank's array frees (`busy_until`), and a bus-drain (reads) or
 //! posted-writeback retire (writes) when the burst leaves the channel's
 //! data bus (`bus_free`) — on an internal *slot calendar* (DESIGN.md
-//! §12): one slot per bank and one per channel, exploiting the model's
+//! §11): one slot per bank and one per channel, exploiting the model's
 //! single-outstanding-transition invariant (a same-resource follow-up
 //! strictly raises the slab horizon, so at most one transition per
 //! resource is ever live). Scheduling is a store; a follow-up that lands
@@ -37,9 +37,9 @@
 //! "is anything due?" — is answered by a cached lower bound on the
 //! earliest live slot, so the per-scheduling-point
 //! [`DramModel::advance_to`] is a two-word compare in the common case.
-//! An idle window — the span between a bank's last array completion and
-//! its next request — is crossed in one jump and measured in
-//! `idle_skipped_cycles`. (A first cut kept these events in a binary
+//! Idle-cycle accounting: the span between a bank's last array completion
+//! and its next request is measured in `idle_skipped_cycles`; nothing is
+//! skipped, the counter only accounts. (A first cut kept these events in a binary
 //! heap; four heap operations per access took `dram_access` from 7.7 ns
 //! to 104 ns and regressed the figure campaign 1.7x, which is what forced
 //! the dense-slot representation.) The timing slabs stay authoritative,
@@ -883,8 +883,9 @@ mod tests {
     fn access_many_matches_serial_access_sequence() {
         let cfg = SystemConfig::default().dram;
         let blocks_per_row = (cfg.row_bytes / BLOCK_BYTES) as u64;
-        let bank_stride =
-            blocks_per_row * cfg.channels as u64 * (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
+        let bank_stride = blocks_per_row
+            * cfg.channels as u64
+            * (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
         // Mixed legs: same channel pressure, a write, a same-bank repeat.
         let legs: Vec<(BlockAddr, bool)> = vec![
             (BlockAddr::new(0), true),

@@ -22,9 +22,6 @@
 //! * [`forest`] — the functional TreeLing forest: slot states, page
 //!   mapping/unmapping, Invert's top-down extension and slot conversion
 //!   (§VII-A), Pro's hot region (§VII-B), utilization accounting;
-//! * [`sharded`] — the concurrent allocator substrate: per-TreeLing
-//!   occupancy bitsets claimed by CAS, per-shard free counters, and
-//!   epoch-guarded TreeLing recycling for multi-threaded campaigns;
 //! * [`tracker`] — IvLeague-Pro's hotpage access-frequency tracker (§VII-B);
 //! * [`bitvector`] — the naive BV-v1/BV-v2 allocators the paper compares
 //!   NFL against (Figure 17a);
@@ -56,6 +53,5 @@ pub mod lmm;
 pub mod nfl;
 pub mod nfl_encoding;
 pub mod scheme;
-pub mod sharded;
 pub mod tracker;
 pub mod verify;

@@ -25,7 +25,6 @@ use ivl_leakfuzz::harness::{run_program, run_program_with_obs, HarnessConfig};
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
 use ivl_sim_core::obs::{write_trace_jsonl, Obs, Profiler, Timeline, TraceFilter, Tracer};
 use ivl_simulator::system::SchemeKind;
-use ivl_simulator::{run_mix, run_mix_par, EngineKind, RunConfig};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -225,28 +224,6 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     }
     println!("replay: {} corpus entr(ies) hold", entries.len());
 
-    // With `IVL_PAR_SYSTEM=1` the corpus verdicts above already ran in
-    // whatever mode the figure pipeline uses; on top of that, gate on the
-    // ParSystem engine being bit-identical to serial for the schemes the
-    // corpus exercises, so a threading bug cannot reclassify a leak.
-    if let EngineKind::Par { workers } = EngineKind::from_env() {
-        println!("replay: ParSystem drift gate ({workers} worker(s))");
-        let mix = ivl_workloads::mixes::mix_by_name("S-1").expect("S-1 mix exists");
-        let run = RunConfig::smoke_test();
-        for scheme in [SchemeKind::Baseline, SchemeKind::IvPro] {
-            let serial = format!("{:?}", run_mix(mix, scheme, &run));
-            let par = format!("{:?}", run_mix_par(mix, scheme, &run, workers));
-            if serial != par {
-                eprintln!(
-                    "replay: FAIL: ParSystem drifted from serial on S-1/{} \
-                     at {workers} worker(s)",
-                    scheme.label()
-                );
-                return Ok(ExitCode::FAILURE);
-            }
-            println!("replay: S-1/{} serial == par", scheme.label());
-        }
-    }
     Ok(ExitCode::SUCCESS)
 }
 

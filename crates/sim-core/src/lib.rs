@@ -7,8 +7,7 @@
 //! * [`domain`] — integrity-verification (IV) domain identifiers, capped at
 //!   `2^12` domains exactly as IvLeague provisions (Section VI-D1);
 //! * [`calendar`] — the deterministic `(cycle, tie, seq)` min-heap event
-//!   calendar and the typed [`calendar::CalendarEvent`] payload shared by
-//!   the runners and the DRAM model;
+//!   calendar the system runner schedules cores on;
 //! * [`config`] — the Table I architecture configuration as plain data;
 //! * [`stats`] — counters, running means and histograms used by the models;
 //! * [`obs`] — the workspace-wide observability layer: dotted-path stats

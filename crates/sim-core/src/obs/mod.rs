@@ -9,8 +9,7 @@
 //! * [`profile`] — scoped host-time timers aggregated into a per-run
 //!   self-profile;
 //! * [`timeline`] — windowed simulated-time metric series (counters,
-//!   gauges, log₂ histograms per cycle window) with deterministic
-//!   per-worker merge and JSONL/CSV export.
+//!   gauges, log₂ histograms per cycle window) with JSONL/CSV export.
 //!
 //! Models receive a cloneable [`Obs`] handle; a default-constructed
 //! handle is fully disabled and costs one branch per would-be event.
@@ -45,7 +44,7 @@ pub use trace::{
 /// The observability handle a run threads through its models: a tracer
 /// and a profiler, both cloneable and both no-ops by default.
 ///
-/// The handle is `!Send` by design (single-threaded per run worker);
+/// The handle is `!Send` by design (single-threaded per run);
 /// never store it in results returned across threads.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {

@@ -1,59 +1,33 @@
-//! Property tests for the typed event calendar: heterogeneous payloads pop
-//! in exact `(cycle, tie, insertion)` order against a sort oracle, and the
-//! class tie-spaces pin same-cycle ordering to cores → banks → buses →
-//! writebacks regardless of insertion order.
+//! Property tests for the event calendar: entries pop in exact
+//! `(cycle, tie, insertion)` order against a sort oracle, and interleaved
+//! scheduling never rewinds the popped cycle stream.
 
-use ivl_sim_core::calendar::{CalendarEvent, EventCalendar};
+use ivl_sim_core::calendar::EventCalendar;
 use ivl_sim_core::rng::Xoshiro256;
 use ivl_sim_core::Cycle;
 use ivl_testkit::prelude::*;
-
-fn random_event(rng: &mut Xoshiro256) -> CalendarEvent {
-    match rng.index(4) {
-        0 => CalendarEvent::CoreReady(rng.index(8)),
-        1 => CalendarEvent::BankReady(rng.index(64) as u32),
-        2 => CalendarEvent::BusDrain(rng.index(4) as u32),
-        _ => CalendarEvent::DeferredWriteback(rng.index(4) as u32),
-    }
-}
 
 props! {
     #![cases(64)]
 
     #[test]
-    fn mixed_payloads_pop_in_sort_oracle_order(seed in any::<u64>(), n in 1usize..120) {
+    fn entries_pop_in_sort_oracle_order(seed in any::<u64>(), n in 1usize..120) {
         let mut rng = Xoshiro256::seed_from(seed);
         let mut cal = EventCalendar::new();
         // Oracle: stable sort on (cycle, tie) — stability supplies the
         // FIFO tie-break the calendar's sequence number implements.
-        let mut oracle: Vec<(Cycle, CalendarEvent)> = Vec::new();
-        for _ in 0..n {
+        let mut oracle: Vec<(Cycle, u64, usize)> = Vec::new();
+        for i in 0..n {
             let at = rng.next_u64() % 50; // dense: plenty of full ties
-            let ev = random_event(&mut rng);
-            cal.schedule(at, ev.tie(), ev);
-            oracle.push((at, ev));
+            let tie = rng.index(8) as u64;
+            cal.schedule(at, tie, i);
+            oracle.push((at, tie, i));
         }
-        oracle.sort_by_key(|&(at, ev)| (at, ev.tie()));
-        for (at, ev) in oracle {
-            prop_assert_eq!(cal.pop(), Some((at, ev)));
+        oracle.sort_by_key(|&(at, tie, _)| (at, tie));
+        for (at, _, i) in oracle {
+            prop_assert_eq!(cal.pop(), Some((at, i)));
         }
         prop_assert_eq!(cal.pop(), None);
-    }
-
-    #[test]
-    fn same_cycle_classes_order_core_bank_bus_writeback(seed in any::<u64>()) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let mut cal = EventCalendar::new();
-        let mut evs: Vec<CalendarEvent> = (0..20).map(|_| random_event(&mut rng)).collect();
-        for &ev in &evs {
-            cal.schedule(7, ev.tie(), ev);
-        }
-        // Expected: class rank, then instance id, then insertion order.
-        let rank = |e: &CalendarEvent| e.tie();
-        evs.sort_by_key(rank);
-        for ev in evs {
-            prop_assert_eq!(cal.pop(), Some((7, ev)));
-        }
     }
 
     #[test]
@@ -66,10 +40,9 @@ props! {
         let mut cal = EventCalendar::new();
         let mut last: Option<Cycle> = None;
         let mut floor: Cycle = 0;
-        for _ in 0..n {
+        for i in 0..n {
             let at = floor + rng.next_u64() % 100;
-            let ev = random_event(&mut rng);
-            cal.schedule(at, ev.tie(), ev);
+            cal.schedule(at, rng.index(8) as u64, i);
             if rng.chance(0.5) {
                 if let Some((at, _)) = cal.pop() {
                     if let Some(prev) = last {

@@ -1,12 +1,12 @@
 //! The multicore engine and per-mix runner.
 
-use crate::calendar::{CalendarEvent, EventCalendar};
 use ivl_cache::randomized::RandomizedCache;
 use ivl_cache::set_assoc::SetAssocCache;
 use ivl_cache::CacheModel;
 use ivl_dram::DramModel;
 use ivl_secure_mem::baseline::GlobalBmtSubsystem;
 use ivl_secure_mem::subsystem::{IntegritySubsystem, IvStats, NoProtection};
+use ivl_sim_core::calendar::EventCalendar;
 use ivl_sim_core::config::{IvVariant, SystemConfig};
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
@@ -178,75 +178,6 @@ impl SchemeInstance {
             SchemeInstance::None(s) => s.stats(),
         }
     }
-}
-
-/// How the engine picks the next core to execute.
-///
-/// Both schedulers realize the same loose global ordering — the
-/// least-advanced eligible core executes next, ties broken by lowest core
-/// index — and are pinned bit-identical against each other by regression
-/// tests. The calendar is the default: it pops the next core in O(log n)
-/// from an [`EventCalendar`] instead of rescanning every core per event,
-/// and the same calendar is the insertion point for deferred model events
-/// (bank-free, bus-free) when the engine grows beyond core granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Binary-heap event calendar keyed on core-ready cycles.
-    #[default]
-    EventCalendar,
-    /// The pre-calendar linear `min_by_key` scan, kept as the ordering
-    /// oracle for determinism tests.
-    LinearScan,
-}
-
-/// Which stepping engine executes a run.
-///
-/// Both engines produce bit-identical figure data (pinned by the
-/// determinism suite); the parallel engine additionally exports `par.*`
-/// scheduling counters that legitimately vary run to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The single-threaded oracle engine.
-    #[default]
-    Serial,
-    /// The decoupled front-end parallel engine ([`crate::par`]).
-    Par {
-        /// Front-end worker threads (clamped to the process count).
-        workers: usize,
-    },
-}
-
-impl EngineKind {
-    /// Engine selection from the environment: `IVL_PAR_SYSTEM=1` (or
-    /// `true`) turns the parallel engine on; `IVL_PAR_WORKERS` (falling
-    /// back to `IVL_WORKERS`, then the machine's parallelism) sizes its
-    /// front-end worker pool.
-    pub fn from_env() -> Self {
-        let on = std::env::var("IVL_PAR_SYSTEM")
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false);
-        if on {
-            EngineKind::Par {
-                workers: par_workers_from_env(),
-            }
-        } else {
-            EngineKind::Serial
-        }
-    }
-}
-
-/// Worker-count resolution for the parallel engine: `IVL_PAR_WORKERS`
-/// when set, else the testkit default (`IVL_WORKERS`, else one per
-/// available core).
-pub fn par_workers_from_env() -> usize {
-    std::env::var("IVL_PAR_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(ivl_testkit::par::available_workers)
 }
 
 /// Run lengths and seed of one simulation.
@@ -427,17 +358,10 @@ pub fn run_mix_with_config(
     cfg: &SystemConfig,
 ) -> MixResult {
     let obs_cfg = ObsConfig::from_env();
-    let engine = EngineKind::from_env();
-    let run_engine = |oc: &ObsConfig| match engine {
-        EngineKind::Serial => run_mix_observed(mix, scheme_kind, run, cfg, oc),
-        EngineKind::Par { workers } => {
-            crate::par::run_mix_observed_par(mix, scheme_kind, run, cfg, oc, workers)
-        }
-    };
     if !obs_cfg.any_enabled() {
-        return run_engine(&ObsConfig::off()).result;
+        return run_mix_observed(mix, scheme_kind, run, cfg, &ObsConfig::off()).result;
     }
-    let observed = run_engine(&obs_cfg);
+    let observed = run_mix_observed(mix, scheme_kind, run, cfg, &obs_cfg);
     let tag = format!("{}.{}", path_tag(mix.name), path_tag(scheme_kind.label()));
     if let Some(p) = &obs_cfg.trace_path {
         let path = decorate_path(p, &tag);
@@ -460,24 +384,6 @@ pub fn run_mix_with_config(
     observed.result
 }
 
-/// Exports the scheme/DRAM/LLC statistics shared by both stepping
-/// engines; each engine adds its own per-core L2 tallies on top (the
-/// parallel engine reads them from producer stamps for single-core
-/// processes).
-pub(crate) fn export_shared_stats(
-    scheme: &SchemeInstance,
-    dram: &DramModel,
-    llc: &RandomizedCache,
-    reg: &mut StatsRegistry,
-) {
-    scheme.as_subsystem_ref().export_stats("scheme", reg);
-    dram.export_stats("dram", reg);
-    let lt = llc.tally();
-    reg.set_ratio("llc.data", HitMiss::from_parts(lt.hits, lt.misses));
-    reg.set_counter("llc.evictions", lt.evictions);
-    reg.set_counter("llc.dirty_evictions", lt.dirty_evictions);
-}
-
 /// Exports everything every model knows into one registry snapshot.
 fn export_run_stats(
     scheme: &SchemeInstance,
@@ -486,7 +392,12 @@ fn export_run_stats(
     cores: &[Core],
     reg: &mut StatsRegistry,
 ) {
-    export_shared_stats(scheme, dram, llc, reg);
+    scheme.as_subsystem_ref().export_stats("scheme", reg);
+    dram.export_stats("dram", reg);
+    let lt = llc.tally();
+    reg.set_ratio("llc.data", HitMiss::from_parts(lt.hits, lt.misses));
+    reg.set_counter("llc.evictions", lt.evictions);
+    reg.set_counter("llc.dirty_evictions", lt.dirty_evictions);
     for (i, c) in cores.iter().enumerate() {
         let t = c.l2.tally();
         reg.set_ratio(
@@ -513,40 +424,6 @@ pub fn run_mix_observed(
     run: &RunConfig,
     cfg: &SystemConfig,
     obs_cfg: &ObsConfig,
-) -> ObservedRun {
-    run_mix_observed_with_scheduler(
-        mix,
-        scheme_kind,
-        run,
-        cfg,
-        obs_cfg,
-        SchedulerKind::default(),
-    )
-}
-
-/// Runs one mix under one scheme with an explicit core scheduler (the
-/// ordering-determinism tests pin [`SchedulerKind::EventCalendar`] against
-/// [`SchedulerKind::LinearScan`] this way; everything else uses the
-/// default).
-pub fn run_mix_with_scheduler(
-    mix: &Mix,
-    scheme_kind: SchemeKind,
-    run: &RunConfig,
-    scheduler: SchedulerKind,
-) -> MixResult {
-    let cfg = SystemConfig::default();
-    run_mix_observed_with_scheduler(mix, scheme_kind, run, &cfg, &ObsConfig::off(), scheduler)
-        .result
-}
-
-/// [`run_mix_observed`] with an explicit [`SchedulerKind`].
-pub fn run_mix_observed_with_scheduler(
-    mix: &Mix,
-    scheme_kind: SchemeKind,
-    run: &RunConfig,
-    cfg: &SystemConfig,
-    obs_cfg: &ObsConfig,
-    scheduler: SchedulerKind,
 ) -> ObservedRun {
     let obs = Obs::from_config(obs_cfg);
     // Cached enabled flags: the hot loop branches on plain bools instead of
@@ -588,8 +465,7 @@ pub fn run_mix_observed_with_scheduler(
                 gen: pi,
                 domain,
                 // The trace models post-L1 traffic, so the first private
-                // level a core owns here is its L2 (the parallel engine
-                // mirrors this layout).
+                // level a core owns here is its L2.
                 l2: SetAssocCache::with_geometry(
                     cfg.core.l2.capacity_bytes,
                     cfg.core.l2.ways,
@@ -625,21 +501,19 @@ pub fn run_mix_observed_with_scheduler(
     // one per event (std::env::var takes a process-wide lock and scans the
     // environment block).
     let debug_warm = std::env::var("IVL_DEBUG_WARM").is_ok();
-    // Event calendar over typed events: each eligible core holds exactly
-    // one `CoreReady` entry, keyed `(ready cycle, core index)`, so a pop
-    // is the least-advanced core with lowest-index tie-breaking — the same
-    // loose global ordering the linear scan produced, in O(log n). The
-    // DRAM model's bank-ready / bus-drain transitions live in its own
-    // internal slot calendar: the access path reclaims due slots in place
-    // (idle-window accounting is invariant to where the clock is advanced,
-    // pinned by the dram-sim property tests), and the runner settles
-    // anything still outstanding at the epoch edges below.
-    let mut calendar: EventCalendar<CalendarEvent> = EventCalendar::with_capacity(cores.len());
-    if scheduler == SchedulerKind::EventCalendar {
-        for (i, c) in cores.iter().enumerate() {
-            if c.accesses < measure_total {
-                calendar.schedule(c.now, i as u64, CalendarEvent::CoreReady(i));
-            }
+    // Core calendar: each eligible core holds exactly one entry, keyed
+    // `(ready cycle, core index)`, so a pop is the least-advanced core with
+    // lowest-index tie-breaking — the loose global ordering of a linear
+    // `min_by_key` scan, in O(log n). The DRAM model's bank-ready /
+    // bus-drain transitions live in its own internal slot calendar: the
+    // access path reclaims due slots in place (idle-cycle accounting is
+    // invariant to where the clock is advanced, pinned by the dram-sim
+    // property tests), and the runner settles anything still outstanding
+    // at the epoch edges below.
+    let mut calendar: EventCalendar<usize> = EventCalendar::with_capacity(cores.len());
+    for (i, c) in cores.iter().enumerate() {
+        if c.accesses < measure_total {
+            calendar.schedule(c.now, i as u64, i);
         }
     }
     // Run-until-preempted fast path: when the core that just executed is
@@ -654,30 +528,8 @@ pub fn run_mix_observed_with_scheduler(
     // warmup→measurement flip so the exported gauge covers the window.
     let mut occ_peak: usize = 0;
 
-    loop {
-        // Least-advanced core executes next (loose global ordering).
-        let idx = match next.take() {
-            Some(i) => i,
-            None => match scheduler {
-                SchedulerKind::EventCalendar => match calendar.pop() {
-                    Some((_, CalendarEvent::CoreReady(i))) => i,
-                    Some((_, ev)) => unreachable!("runner schedules only CoreReady, got {ev:?}"),
-                    None => break,
-                },
-                SchedulerKind::LinearScan => {
-                    match cores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.accesses < measure_total)
-                        .min_by_key(|(_, c)| c.now)
-                        .map(|(i, _)| i)
-                    {
-                        Some(i) => i,
-                        None => break,
-                    }
-                }
-            },
-        };
+    // Least-advanced core executes next (loose global ordering).
+    while let Some(idx) = next.take().or_else(|| calendar.pop().map(|(_, i)| i)) {
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
         if debug_warm && !measuring {
@@ -891,26 +743,24 @@ pub fn run_mix_observed_with_scheduler(
         }
 
         // Requeue the core at its new ready cycle; a core past its access
-        // budget simply leaves the calendar (mirroring the linear scan's
-        // eligibility filter). If the core is still strictly ahead of the
-        // calendar head it keeps running without touching the heap.
-        if scheduler == SchedulerKind::EventCalendar {
-            let c = &cores[idx];
-            if c.accesses < measure_total {
-                let key = (c.now, idx as u64);
-                if calendar.peek_key().is_none_or(|head| key < head) {
-                    next = Some(idx);
-                } else {
-                    calendar.schedule(c.now, idx as u64, CalendarEvent::CoreReady(idx));
-                }
+        // budget simply leaves the calendar. If the core is still strictly
+        // ahead of the calendar head it keeps running without touching the
+        // heap.
+        let c = &cores[idx];
+        if c.accesses < measure_total {
+            let key = (c.now, idx as u64);
+            if calendar.peek_key().is_none_or(|head| key < head) {
+                next = Some(idx);
+            } else {
+                calendar.schedule(c.now, idx as u64, idx);
             }
-            let occ = calendar.len() + next.is_some() as usize + dram.pending_events();
-            if occ > occ_peak {
-                occ_peak = occ;
-            }
-            if tl_on {
-                obs.timeline.gauge("cal.occupancy", cores[idx].now, occ as f64);
-            }
+        }
+        let occ = calendar.len() + next.is_some() as usize + dram.pending_events();
+        if occ > occ_peak {
+            occ_peak = occ;
+        }
+        if tl_on {
+            obs.timeline.gauge("cal.occupancy", c.now, occ as f64);
         }
     }
 
@@ -951,12 +801,10 @@ pub fn run_mix_observed_with_scheduler(
     let mut end_reg = StatsRegistry::new();
     export_run_stats(&scheme, &dram, &llc, &cores, &mut end_reg);
     let mut registry = end_reg.delta(&epoch_reg);
-    if scheduler == SchedulerKind::EventCalendar {
-        // Measurement-window peak of the `cal.occupancy` timeline gauge —
-        // set after the delta (occ_peak was reset at the flip, so the end
-        // export alone is the window value).
-        registry.set_gauge("cal.occupancy_peak", occ_peak as f64);
-    }
+    // Measurement-window peak of the `cal.occupancy` timeline gauge — set
+    // after the delta (occ_peak was reset at the flip, so the end export
+    // alone is the window value).
+    registry.set_gauge("cal.occupancy_peak", occ_peak as f64);
     registry.set_counter("run.core_accesses", core_accesses);
     registry.set_counter("run.llc_miss_reads", llc_miss_reads);
     registry.set_counter("run.read_latency_sum", read_latency_sum);

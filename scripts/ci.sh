@@ -19,34 +19,30 @@
 #   5. leak corpus replay   - every profile: `leakfuzz replay` re-runs the
 #                             checked-in counterexample corpus; the Baseline
 #                             must keep flagging and every protected scheme
-#                             must stay clean (drift detector both ways).
-#                             A second pass replays under IVL_PAR_SYSTEM=1,
-#                             adding the serial-vs-ParSystem drift gate
-#   6. par bit-identity     - release only: the ParSystem determinism test
-#                             (serial == parallel figure data over the full
-#                             mix x scheme matrix) at IVL_WORKERS 1, 2, 4, 8
-#   7. bench smoke + gate   - one quick ivl-bench micro run, diffed against
-#                             BENCH_pr10.json by bench_compare; fails on a
-#                             median regression beyond the threshold
-#                             (IVL_BENCH_GATE_THRESHOLD, default 1.5 = 2.5x)
-#   8. observability smoke  - obs_run writes + self-validates a trace
+#                             must stay clean (drift detector both ways)
+#   6. bench smoke + gate   - one quick ivl-bench micro run, diffed against
+#                             the quick-mode BENCH_pr12.json by bench_compare;
+#                             fails on a median regression beyond the
+#                             threshold (IVL_BENCH_GATE_THRESHOLD, default
+#                             1.5 = 2.5x)
+#   7. observability smoke  - obs_run writes + self-validates a trace
 #                             (JSONL) and stats registry (JSON) for a quick
-#                             mix and a short attack, once per engine
-#                             (serial, then IVL_PAR_SYSTEM=1); afterwards
-#                             the serial and ParSystem stats files must
-#                             agree on dram.idle_skipped_cycles (idle-window
-#                             skipping is deterministic figure state)
+#                             mix and a short attack, including a nonzero
+#                             dram.idle_skipped_cycles (idle-cycle
+#                             accounting)
+#   8. timeline smoke       - timeline_report reconciles windowed series
+#                             against registry deltas and round-trips the
+#                             timeline JSONL
 #   9. figures wall-clock   - all_figures --quick (release only) must finish
 #                             within IVL_FIGURES_BUDGET_SECS (default 240);
 #                             catches campaign-layer slowdowns the per-bench
-#                             medians cannot see. A second, ParSystem-engine
-#                             run shares the same budget
+#                             medians cannot see
 #
-# The fuzz profile replaces steps 2-4 and 6-8 with a budgeted leak-search
-# run (IVL_FUZZ_BUDGET_SECS, default 60): `leakfuzz fuzz` exits 2 — failing
-# this script — if any protected scheme shows a distinguishable timing
-# signal. Findings land in target/leakfuzz/ as corpus entries plus trace
-# dumps for upload.
+# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-9
+# with a budgeted leak-search run (IVL_FUZZ_BUDGET_SECS, default 60):
+# `leakfuzz fuzz` exits 2 — failing this script — if any protected scheme
+# shows a distinguishable timing signal. Findings land in target/leakfuzz/
+# as corpus entries plus trace dumps for upload.
 #
 # Every run ends with a one-line PASS summary listing the steps executed.
 
@@ -128,13 +124,6 @@ step "leak corpus replay"
 cargo run -q "${LEAKFUZZ_PROFILE_ARGS[@]}" -p ivl-leakfuzz --bin leakfuzz \
     --locked --offline -- replay
 
-step "leak corpus replay (ParSystem engine)"
-# Same corpus, plus the serial-vs-ParSystem drift gate inside `replay`:
-# a threading bug must not be able to reclassify a leak.
-IVL_PAR_SYSTEM=1 IVL_PAR_WORKERS=2 \
-    cargo run -q "${LEAKFUZZ_PROFILE_ARGS[@]}" -p ivl-leakfuzz --bin leakfuzz \
-    --locked --offline -- replay
-
 if [ "$PROFILE_FILTER" = "fuzz" ]; then
     FUZZ_BUDGET="${IVL_FUZZ_BUDGET_SECS:-60}"
     step "leak-search fuzz (budget ${FUZZ_BUDGET}s)"
@@ -145,19 +134,6 @@ fi
 
 if [ "$PROFILE_FILTER" != "fuzz" ]; then
 
-if [ "$PROFILE_FILTER" != "debug" ]; then
-    step "par bit-identity matrix (IVL_WORKERS 1 2 4 8)"
-    # The determinism test sweeps 1/2/4 on its own; the explicit matrix
-    # re-pins each worker count separately (including 8, above the core
-    # count of most runners) so a scheduling-dependent divergence cannot
-    # hide behind a lucky in-process sweep.
-    for IVL_PAR_MATRIX_W in 1 2 4 8; do
-        IVL_WORKERS="$IVL_PAR_MATRIX_W" cargo test -q --release -p ivl-bench \
-            --test determinism --locked --offline \
-            par_system_is_bit_identical_to_serial
-    done
-fi
-
 step "bench smoke (IVL_BENCH_QUICK=1)"
 # Absolute path: the bench binary's working directory is the bench package,
 # not the workspace root, so a relative IVL_BENCH_JSON would land elsewhere.
@@ -165,15 +141,14 @@ BENCH_JSON="$(pwd)/target/bench_quick.json"
 IVL_BENCH_QUICK=1 IVL_BENCH_JSON="$BENCH_JSON" \
     cargo bench -p ivl-bench --locked --offline
 
-step "bench regression gate (vs BENCH_pr10.json)"
-# The snapshot holds full-mode medians while this leg runs quick mode, and
-# quick-mode medians on a shared runner straight after a long build are
-# systematically slower (short warm-up, hot machine) on top of being noisy
-# — observed skew reaches ~2x on the fastest benches. The generous default
-# threshold absorbs that; the gate catches order-of-magnitude mistakes,
-# not percent-level drift.
+step "bench regression gate (vs BENCH_pr12.json)"
+# The snapshot was recorded with the same quick-mode invocation as the leg
+# above, so the gate compares quick mode with quick mode. Quick-mode
+# medians are still noisy on a shared runner straight after a long build
+# (short warm-up, hot machine), so the generous default threshold only
+# catches order-of-magnitude mistakes, not percent-level drift.
 cargo run -q -p ivl-bench --bin bench_compare --locked --offline -- \
-    BENCH_pr10.json "$BENCH_JSON" \
+    BENCH_pr12.json "$BENCH_JSON" \
     --threshold "${IVL_BENCH_GATE_THRESHOLD:-1.5}"
 
 step "observability smoke (obs_run --quick)"
@@ -186,40 +161,12 @@ IVL_TRACE="$(pwd)/target/obs_trace.jsonl" \
     IVL_TRACE_CAP=50000 \
     cargo run -q -p ivl-bench --bin obs_run --locked --offline -- S-1 IvPro --quick
 
-step "observability smoke (obs_run --quick, ParSystem engine)"
-# Distinct sink paths: both artifact pairs survive for upload, and the
-# par-mode run additionally validates the par.* counters it exports.
-IVL_PAR_SYSTEM=1 IVL_PAR_WORKERS=2 \
-    IVL_TRACE="$(pwd)/target/obs_trace_par.jsonl" \
-    IVL_STATS_JSON="$(pwd)/target/obs_stats_par.json" \
-    IVL_TRACE_CAP=50000 \
-    cargo run -q -p ivl-bench --bin obs_run --locked --offline -- S-1 IvPro --quick
-
-step "idle-skip cross-engine check"
-# dram.idle_skipped_cycles is deterministic figure state: the slabs stay
-# authoritative for timing, so the serial and ParSystem engines must skip
-# the exact same number of idle DRAM cycles. obs_run already asserts the
-# counter is nonzero in each engine; this compares the two exports.
-SKIP_SERIAL=$(grep -o '"dram\.idle_skipped_cycles"[^,}]*' target/obs_stats.json)
-SKIP_PAR=$(grep -o '"dram\.idle_skipped_cycles"[^,}]*' target/obs_stats_par.json)
-echo "serial: ${SKIP_SERIAL:-missing}  par: ${SKIP_PAR:-missing}"
-if [ -z "$SKIP_SERIAL" ] || [ "$SKIP_SERIAL" != "$SKIP_PAR" ]; then
-    echo "FAIL: idle-skip accounting diverged between engines" >&2
-    exit 1
-fi
-
 step "timeline smoke (timeline_report --quick)"
-# Serial + ParSystem at 1/2/4 workers with the windowed timeline live:
-# the binary reconciles window sums against registry deltas, pins the
-# serial-comparable series bit-identical across engines, gates the
-# commit-thread folded stack at >= 95% named coverage, and round-trips
-# the JSONL it writes (uploaded as an artifact alongside the trace).
-# The report's stdout carries the per-worker `par.commitphase.*` folded
-# stacks; keep it as an artifact next to the timeline JSONL so commit-
-# thread regressions can be flame-diffed across PRs.
+# With the windowed timeline live, the binary reconciles window sums
+# against registry deltas and round-trips the JSONL it writes (uploaded as
+# an artifact alongside the trace).
 IVL_TIMELINE="$(pwd)/target/obs_timeline.jsonl" \
-    cargo run -q -p ivl-bench --bin timeline_report --locked --offline -- S-1 IvPro --quick \
-    | tee target/obs_commit_stacks.txt
+    cargo run -q -p ivl-bench --bin timeline_report --locked --offline -- S-1 IvPro --quick
 
 if [ "$PROFILE_FILTER" != "debug" ]; then
     step "figures wall-clock smoke (all_figures --quick)"
@@ -238,21 +185,6 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
     echo "all_figures --quick took ${FIGURES_ELAPSED}s (budget ${FIGURES_BUDGET}s)"
     if [ "$FIGURES_ELAPSED" -gt "$FIGURES_BUDGET" ]; then
         echo "FAIL: figure campaign exceeded its wall-clock budget" >&2
-        exit 1
-    fi
-
-    step "figures wall-clock smoke (ParSystem engine)"
-    # The whole campaign again with every mix stepped by the ParSystem
-    # engine — bit-identity says the *figures* cannot change, so this leg
-    # only guards wall-clock (a deadlock or livelock in the ring protocol
-    # would blow the budget, not the diff).
-    FIGURES_START=$(date +%s)
-    IVL_PAR_SYSTEM=1 IVL_PAR_WORKERS=2 \
-        cargo run -q --release -p ivl-bench --bin all_figures --locked --offline -- --quick
-    FIGURES_ELAPSED=$(($(date +%s) - FIGURES_START))
-    echo "all_figures --quick (par) took ${FIGURES_ELAPSED}s (budget ${FIGURES_BUDGET}s)"
-    if [ "$FIGURES_ELAPSED" -gt "$FIGURES_BUDGET" ]; then
-        echo "FAIL: ParSystem figure campaign exceeded its wall-clock budget" >&2
         exit 1
     fi
 fi
