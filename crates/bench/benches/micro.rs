@@ -106,7 +106,7 @@ fn bench_caches_and_dram(h: &mut Harness) {
     });
 
     // Long idle windows between touches of a small bank set: every access
-    // drains an expired bank-ready event and accounts the idle cycles.
+    // finds its bank idle and accounts the cycles since `busy_until`.
     let mut dram = DramModel::new(&cfg.dram);
     let mut rng = Xoshiro256::seed_from(9);
     let mut now = 0u64;
@@ -115,23 +115,17 @@ fn bench_caches_and_dram(h: &mut Harness) {
         dram.access(now, BlockAddr::new(rng.next_below(64)), false)
     });
 
-    // The batched sibling-leg issue the integrity walk uses: one decode +
-    // observability gate for a typical 4-leg batch (write-back, MAC read,
-    // data read, counter read) instead of four.
+    // The sibling legs of one integrity walk, issued at the same cycle: a
+    // typical four (write-back, MAC read, data read, counter read).
     let mut dram = DramModel::new(&cfg.dram);
     let mut rng = Xoshiro256::seed_from(11);
     let mut now = 0u64;
-    let mut dones: Vec<u64> = Vec::new();
     h.bench("walk_leg_batch", || {
         now += 200;
-        let legs = [
-            (BlockAddr::new(rng.next_below(1 << 24)), true),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-        ];
-        dram.access_many(now, &legs, &mut dones);
-        dones.last().copied()
+        dram.access(now, BlockAddr::new(rng.next_below(1 << 24)), true);
+        dram.access(now, BlockAddr::new(rng.next_below(1 << 24)), false);
+        dram.access(now, BlockAddr::new(rng.next_below(1 << 24)), false);
+        dram.access(now, BlockAddr::new(rng.next_below(1 << 24)), false)
     });
 }
 

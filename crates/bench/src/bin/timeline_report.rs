@@ -54,10 +54,7 @@ fn reconcile(
     let pairs: [(&str, Option<u64>); 10] = [
         ("dram.reads", reg.counter("dram.reads")),
         ("dram.writes", reg.counter("dram.writes")),
-        (
-            "dram.idle_skipped_cycles",
-            reg.counter("dram.idle_skipped_cycles"),
-        ),
+        ("dram.idle_cycles", reg.counter("dram.idle_cycles")),
         ("llc.misses", reg.ratio("llc.data").map(|hm| hm.misses())),
         ("llc.evictions", reg.counter("llc.evictions")),
         (
@@ -88,32 +85,6 @@ fn reconcile(
                 format!("{tag}: {series} recorded {got:?} but the registry has no counterpart"),
             ),
         }
-    }
-    // Gauge reconcile: the calendar-occupancy series' max over the
-    // measurement window must equal the registry's exported peak (both
-    // reset at the warmup→measurement flip).
-    let tl_occ = tl
-        .series
-        .iter()
-        .find(|(name, _)| *name == "cal.occupancy")
-        .map(|(_, s)| {
-            s.windows
-                .iter()
-                .map(|(_, c)| match c {
-                    Cell::Gauge(g) => *g,
-                    _ => 0.0,
-                })
-                .fold(0.0f64, f64::max)
-        });
-    match reg.gauge("cal.occupancy_peak") {
-        Some(peak) => check(
-            tl_occ == Some(peak),
-            format!("{tag}: cal.occupancy max {tl_occ:?} != registry peak {peak}"),
-        ),
-        None => check(
-            tl_occ.is_none(),
-            format!("{tag}: cal.occupancy recorded but no registry peak exported"),
-        ),
     }
     check(
         tl.dropped() == 0,

@@ -33,6 +33,15 @@ const EMPTY: Line = Line {
     lru: 0,
 };
 
+/// `n` [`EMPTY`] lines from one zeroed allocation. The allocator's zeroed
+/// pages stand in for a line-by-line fill, so building a system writes
+/// none of its LLC up front.
+fn empty_lines(n: usize) -> Box<[Line]> {
+    // SAFETY: all-zero bytes are a valid `Line` (`u64` 0, `bool` false),
+    // and that line is `EMPTY`.
+    unsafe { Box::new_zeroed_slice(n).assume_init() }
+}
+
 /// A two-skew randomized cache with keyed indexing and random eviction.
 ///
 /// # Examples
@@ -49,8 +58,13 @@ pub struct RandomizedCache {
     sets_per_skew: usize,
     /// Ways per skew (total associativity is `2 * ways_per_skew`).
     ways_per_skew: usize,
-    /// `lines[skew]` holds `sets_per_skew * ways_per_skew` lines.
-    lines: [Vec<Line>; 2],
+    /// Both skews in one slab: skew `s` owns sets `s * sets_per_skew ..
+    /// (s + 1) * sets_per_skew`, each `ways_per_skew` lines wide. One
+    /// allocation rather than one per skew keeps the largest block a system
+    /// frees at the whole LLC; glibc derives its heap-trim threshold from
+    /// that block, so back-to-back system builds reuse heap pages instead of
+    /// faulting them in again.
+    lines: Box<[Line]>,
     index_keys: [u64; 2],
     rng: Xoshiro256,
     clock: u64,
@@ -82,10 +96,7 @@ impl RandomizedCache {
         RandomizedCache {
             sets_per_skew,
             ways_per_skew,
-            lines: [
-                vec![EMPTY; sets_per_skew * ways_per_skew],
-                vec![EMPTY; sets_per_skew * ways_per_skew],
-            ],
+            lines: empty_lines(2 * sets_per_skew * ways_per_skew),
             index_keys: [k0, k1],
             rng: Xoshiro256::seed_from(seed ^ 0xC0FF_EE00),
             clock: 0,
@@ -115,7 +126,7 @@ impl RandomizedCache {
     }
 
     fn set_range(&self, skew: usize, key: u64) -> std::ops::Range<usize> {
-        let set = self.skew_set(skew, key);
+        let set = skew * self.sets_per_skew + self.skew_set(skew, key);
         set * self.ways_per_skew..(set + 1) * self.ways_per_skew
     }
 }
@@ -128,7 +139,7 @@ impl RandomizedCache {
         // Hit check in both skews.
         for skew in 0..2 {
             let range = self.set_range(skew, key);
-            if let Some(line) = self.lines[skew][range]
+            if let Some(line) = self.lines[range]
                 .iter_mut()
                 .find(|l| l.valid && l.key == key)
             {
@@ -146,27 +157,23 @@ impl RandomizedCache {
         // (load-aware skew selection, as in power-of-two-choices); otherwise
         // pick a random skew and a random victim within the set — the random
         // global-eviction approximation.
-        let mut chosen: Option<(usize, usize)> = None; // (skew, line index)
+        let mut chosen: Option<usize> = None; // line index
         for skew in 0..2 {
             let range = self.set_range(skew, key);
-            if let Some(off) = self.lines[skew][range.clone()]
-                .iter()
-                .position(|l| !l.valid)
-            {
-                chosen = Some((skew, range.start + off));
+            if let Some(off) = self.lines[range.clone()].iter().position(|l| !l.valid) {
+                chosen = Some(range.start + off);
                 break;
             }
         }
-        let (skew, idx, evicted) = match chosen {
-            Some((skew, idx)) => (skew, idx, None),
+        let (idx, evicted) = match chosen {
+            Some(idx) => (idx, None),
             None => {
                 let skew = (self.rng.next_u64() & 1) as usize;
                 let range = self.set_range(skew, key);
                 let off = self.rng.index(self.ways_per_skew);
                 let idx = range.start + off;
-                let old = self.lines[skew][idx];
+                let old = self.lines[idx];
                 (
-                    skew,
                     idx,
                     Some(Evicted {
                         key: old.key,
@@ -175,7 +182,7 @@ impl RandomizedCache {
                 )
             }
         };
-        self.lines[skew][idx] = Line {
+        self.lines[idx] = Line {
             key,
             valid: true,
             dirty: is_write,
@@ -199,16 +206,14 @@ impl CacheModel for RandomizedCache {
     fn probe(&self, key: u64) -> bool {
         (0..2).any(|skew| {
             let range = self.set_range(skew, key);
-            self.lines[skew][range]
-                .iter()
-                .any(|l| l.valid && l.key == key)
+            self.lines[range].iter().any(|l| l.valid && l.key == key)
         })
     }
 
     fn invalidate(&mut self, key: u64) -> Option<bool> {
         for skew in 0..2 {
             let range = self.set_range(skew, key);
-            for line in self.lines[skew][range].iter_mut() {
+            for line in self.lines[range].iter_mut() {
                 if line.valid && line.key == key {
                     let dirty = line.dirty;
                     *line = EMPTY;
@@ -220,10 +225,7 @@ impl CacheModel for RandomizedCache {
     }
 
     fn occupancy(&self) -> usize {
-        self.lines
-            .iter()
-            .map(|skew| skew.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
@@ -291,6 +293,15 @@ mod tests {
         c.access(1, false);
         c.access(1, true); // upgrade to dirty
         assert_eq!(c.invalidate(1), Some(true));
+    }
+
+    #[test]
+    fn zeroed_slab_holds_empty_lines() {
+        let c = RandomizedCache::new(64, 8, 12);
+        assert_eq!(c.lines.len(), 64 * 8);
+        assert!(c.lines.iter().all(|l| {
+            (l.key, l.valid, l.dirty, l.lru) == (EMPTY.key, EMPTY.valid, EMPTY.dirty, EMPTY.lru)
+        }));
     }
 
     #[test]

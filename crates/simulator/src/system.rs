@@ -497,19 +497,10 @@ pub fn run_mix_observed(
     // Scratch buffer for L2→LLC write-backs, reused every iteration so the
     // hot loop never allocates.
     let mut llc_writebacks: Vec<u64> = Vec::new();
-    // Hoisted out of the event loop: one environment lookup per run, not
-    // one per event (std::env::var takes a process-wide lock and scans the
-    // environment block).
-    let debug_warm = std::env::var("IVL_DEBUG_WARM").is_ok();
     // Core calendar: each eligible core holds exactly one entry, keyed
     // `(ready cycle, core index)`, so a pop is the least-advanced core with
     // lowest-index tie-breaking — the loose global ordering of a linear
-    // `min_by_key` scan, in O(log n). The DRAM model's bank-ready /
-    // bus-drain transitions live in its own internal slot calendar: the
-    // access path reclaims due slots in place (idle-cycle accounting is
-    // invariant to where the clock is advanced, pinned by the dram-sim
-    // property tests), and the runner settles anything still outstanding
-    // at the epoch edges below.
+    // `min_by_key` scan, in O(log n).
     let mut calendar: EventCalendar<usize> = EventCalendar::with_capacity(cores.len());
     for (i, c) in cores.iter().enumerate() {
         if c.accesses < measure_total {
@@ -523,40 +514,21 @@ pub fn run_mix_observed(
     // larger than every queued one, so a strict key win is exactly the
     // case where the heap would have returned the same core.
     let mut next: Option<usize> = None;
-    // Peak calendar occupancy (runnable core entries plus the running
-    // core's implicit entry plus pending DRAM model events); reset at the
-    // warmup→measurement flip so the exported gauge covers the window.
-    let mut occ_peak: usize = 0;
 
     // Least-advanced core executes next (loose global ordering).
     while let Some(idx) = next.take().or_else(|| calendar.pop().map(|(_, i)| i)) {
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
-        if debug_warm && !measuring {
-            let states: Vec<String> = cores
-                .iter()
-                .map(|c| format!("{}:{}", c.benchmark, c.accesses))
-                .collect();
-            if cores[0].accesses.is_multiple_of(100_000) && cores[0].accesses > 0 {
-                eprintln!("warm? {}", states.join(" "));
-            }
-        }
         if !measuring
             && cores.iter().all(|c| c.accesses >= warmup_total)
             && gens.iter().all(TraceGenerator::warmed_up)
         {
             measuring = true;
-            // Settle the DRAM clock at the epoch edge: every deferred
-            // transition due by the least-advanced core's cycle fires in
-            // one sweep, so the occupancy gauge enters the measurement
-            // window counting only genuinely pending transitions.
-            dram.advance_to(cores[idx].now);
             epoch_stats = *scheme.stats();
             export_run_stats(&scheme, &dram, &llc, &cores, &mut epoch_reg);
             // Clear at the same flip the registry snapshot is taken, so the
             // timeline's window sums equal the registry's epoch deltas.
             obs.timeline.clear();
-            occ_peak = 0;
             if obs.tracer.enabled() {
                 let flip = cores.iter().map(|c| c.now).min().unwrap_or(0);
                 obs.tracer.emit(
@@ -755,13 +727,6 @@ pub fn run_mix_observed(
                 calendar.schedule(c.now, idx as u64, idx);
             }
         }
-        let occ = calendar.len() + next.is_some() as usize + dram.pending_events();
-        if occ > occ_peak {
-            occ_peak = occ;
-        }
-        if tl_on {
-            obs.timeline.gauge("cal.occupancy", c.now, occ as f64);
-        }
     }
 
     // Measurement-window statistics: delta against the epoch snapshot
@@ -795,16 +760,9 @@ pub fn run_mix_observed(
         })
         .collect();
 
-    // Settle the DRAM clock at the run's end edge (the mirror of the
-    // flip-time sweep) before the final export.
-    dram.advance_to(cores.iter().map(|c| c.now).max().unwrap_or(0));
     let mut end_reg = StatsRegistry::new();
     export_run_stats(&scheme, &dram, &llc, &cores, &mut end_reg);
     let mut registry = end_reg.delta(&epoch_reg);
-    // Measurement-window peak of the `cal.occupancy` timeline gauge — set
-    // after the delta (occ_peak was reset at the flip, so the end export
-    // alone is the window value).
-    registry.set_gauge("cal.occupancy_peak", occ_peak as f64);
     registry.set_counter("run.core_accesses", core_accesses);
     registry.set_counter("run.llc_miss_reads", llc_miss_reads);
     registry.set_counter("run.read_latency_sum", read_latency_sum);

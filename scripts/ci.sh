@@ -28,8 +28,7 @@
 #   7. observability smoke  - obs_run writes + self-validates a trace
 #                             (JSONL) and stats registry (JSON) for a quick
 #                             mix and a short attack, including a nonzero
-#                             dram.idle_skipped_cycles (idle-cycle
-#                             accounting)
+#                             dram.idle_cycles (idle-cycle accounting)
 #   8. timeline smoke       - timeline_report reconciles windowed series
 #                             against registry deltas and round-trips the
 #                             timeline JSONL
@@ -37,8 +36,11 @@
 #                             within IVL_FIGURES_BUDGET_SECS (default 240);
 #                             catches campaign-layer slowdowns the per-bench
 #                             medians cannot see
+#  10. benchmark goldens   - the end-to-end benchmark (release only) runs
+#                             its four workloads untraced; each must
+#                             reproduce its seed-2024 golden outputs exactly
 #
-# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-9
+# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-10
 # with a budgeted leak-search run (IVL_FUZZ_BUDGET_SECS, default 60):
 # `leakfuzz fuzz` exits 2 — failing this script — if any protected scheme
 # shows a distinguishable timing signal. Findings land in target/leakfuzz/
@@ -187,6 +189,15 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
         echo "FAIL: figure campaign exceeded its wall-clock budget" >&2
         exit 1
     fi
+
+    step "benchmark golden check"
+    # Every workload's simulated outputs must match the checked-in
+    # seed-2024 goldens (exit 1 otherwise). `--trace 0` skips the traced
+    # pass: its per-point layer split depends on host timing, not on the
+    # simulator's outputs.
+    cargo run --release --offline --quiet \
+        --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        --seconds 2 --trace 0
 fi
 
 fi # PROFILE_FILTER != fuzz
