@@ -279,11 +279,10 @@ mod tests {
     #[test]
     fn traced_attack_reconstructs_the_timing_view() {
         use ivl_sim_core::obs::trace::probe_observations;
-        use ivl_sim_core::obs::{Profiler, TraceFilter, Tracer};
+        use ivl_sim_core::obs::{TraceFilter, Tracer};
 
         let obs = Obs {
             tracer: Tracer::bounded(1 << 20, TraceFilter::default()),
-            profiler: Profiler::disabled(),
             timeline: ivl_sim_core::obs::Timeline::disabled(),
         };
         let r = run_attack_with_obs(TargetScheme::GlobalTree, &cfg(64, 0.0), &obs);

@@ -1,7 +1,8 @@
 //! One-shot observability run: simulate a mix, run a short attack, and
 //! write the combined trace (JSONL) plus the stats registry (JSON) to the
 //! exact paths `IVL_TRACE` / `IVL_STATS_JSON` name (defaults:
-//! `ivl_trace.jsonl` / `ivl_stats.json`).
+//! `ivl_trace.jsonl` / `ivl_stats.json`). The trace is always on; the
+//! other `IVL_*` variables apply as in any run (`ObsConfig::from_env`).
 //!
 //! The binary then *validates its own artifacts* — the JSONL parses back,
 //! the required event families are present with monotonic cycle stamps,
@@ -17,20 +18,10 @@ use ivl_attack::{run_attack_with_obs, AttackConfig, TargetScheme};
 use ivl_sim_core::config::SystemConfig;
 use ivl_sim_core::obs::trace::{parse_jsonl, probe_observations};
 use ivl_sim_core::obs::{
-    write_stats_json, write_trace_jsonl, Obs, ObsConfig, StatsRegistry, TraceFilter, Tracer,
-    DEFAULT_TRACE_CAP,
+    write_stats_json, write_trace_jsonl, Obs, ObsConfig, StatsRegistry, Timeline, Tracer,
 };
 use ivl_simulator::{run_mix_observed, RunConfig, SchemeKind};
 use ivl_workloads::mixes::mix_by_name;
-
-fn env_path(var: &str, default: &str) -> PathBuf {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() && v != "1" && !v.eq_ignore_ascii_case("true") => {
-            PathBuf::from(v.trim())
-        }
-        _ => PathBuf::from(default),
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args()
@@ -59,16 +50,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut obs_cfg = ObsConfig::off();
+    let mut obs_cfg = ObsConfig::from_env();
     obs_cfg.trace = true;
-    obs_cfg.trace_cap = std::env::var("IVL_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(DEFAULT_TRACE_CAP, |c| c.max(1));
-    obs_cfg.profile = true;
-    if let Ok(f) = std::env::var("IVL_TRACE_FILTER") {
-        obs_cfg.trace_filter = TraceFilter::parse(&f);
-    }
 
     eprintln!("[obs_run] simulating {mix_name} under {}", scheme.label());
     let sys = SystemConfig::default();
@@ -80,8 +63,7 @@ fn main() -> ExitCode {
     eprintln!("[obs_run] running attack probe trace");
     let attack_obs = Obs {
         tracer: Tracer::bounded(obs_cfg.trace_cap, obs_cfg.trace_filter.clone()),
-        profiler: ivl_sim_core::obs::Profiler::disabled(),
-        timeline: ivl_sim_core::obs::Timeline::disabled(),
+        timeline: Timeline::disabled(),
     };
     let attack = run_attack_with_obs(
         TargetScheme::GlobalTree,
@@ -105,8 +87,12 @@ fn main() -> ExitCode {
     registry.set_gauge("attack.accuracy", attack.accuracy);
     registry.set_counter("attack.probes", 2 * attack.samples.len() as u64);
 
-    let trace_path = env_path("IVL_TRACE", "ivl_trace.jsonl");
-    let stats_path = env_path("IVL_STATS_JSON", "ivl_stats.json");
+    let trace_path = obs_cfg
+        .trace_path
+        .unwrap_or_else(|| PathBuf::from("ivl_trace.jsonl"));
+    let stats_path = obs_cfg
+        .stats_path
+        .unwrap_or_else(|| PathBuf::from("ivl_stats.json"));
     if let Err(e) = write_trace_jsonl(&events, &trace_path) {
         eprintln!("cannot write {}: {e}", trace_path.display());
         return ExitCode::FAILURE;

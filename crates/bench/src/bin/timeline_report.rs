@@ -11,6 +11,9 @@
 //! * round-trips the timeline through its JSONL encoding at the
 //!   `IVL_TIMELINE` path (default `ivl_timeline.jsonl`).
 //!
+//! The timeline is always on; the other `IVL_*` variables apply as in any
+//! run (`ObsConfig::from_env`).
+//!
 //! Exits nonzero if any check fails — CI uses it as the timeline smoke
 //! test, the same self-validation pattern as `obs_run`.
 //!
@@ -20,19 +23,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ivl_sim_core::config::SystemConfig;
-use ivl_sim_core::obs::timeline::{sparkline, write_timeline_jsonl, Cell, HistCell};
+use ivl_sim_core::obs::timeline::{sparkline, write_timeline_jsonl, Cell, HistCell, SeriesKind};
 use ivl_sim_core::obs::{ObsConfig, StatsRegistry, TimelineData};
 use ivl_simulator::{run_mix_observed, RunConfig, SchemeKind};
 use ivl_workloads::mixes::mix_by_name;
-
-fn env_path(var: &str, default: &str) -> PathBuf {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() && v != "1" && !v.eq_ignore_ascii_case("true") => {
-            PathBuf::from(v.trim())
-        }
-        _ => PathBuf::from(default),
-    }
-}
 
 /// Sums every `(series, registry expectation)` pair that must reconcile:
 /// the timeline's per-window sums over the measurement window against the
@@ -96,7 +90,7 @@ fn reconcile(
 }
 
 /// One sparkline row per series: per-window magnitudes scaled to the
-/// series max (counter value, gauge level, or histogram sample count).
+/// series max (counter value or histogram sample count).
 fn render_table(tl: &TimelineData) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -109,21 +103,19 @@ fn render_table(tl: &TimelineData) -> String {
             .iter()
             .map(|(_, c)| match c {
                 Cell::Counter(v) => *v as f64,
-                Cell::Gauge(g) => *g,
                 Cell::Hist(h) => h.count as f64,
             })
             .collect();
-        let total = match s.windows.front().map(|(_, c)| c) {
-            Some(Cell::Counter(_)) => format!("{}", s.counter_sum()),
-            Some(Cell::Hist(_)) => format!("{}", s.hist_count()),
-            _ => format!("{:.1}", values.iter().cloned().fold(0.0f64, f64::max)),
+        let total = match s.kind {
+            SeriesKind::Counter => s.counter_sum(),
+            SeriesKind::Hist => s.hist_count(),
         };
         out.push_str(&format!(
             "{name:<26} {total:>10} {:>8}  {}\n",
             s.windows.len(),
             sparkline(&values)
         ));
-        if let Some(Cell::Hist(_)) = s.windows.front().map(|(_, c)| c) {
+        if s.kind == SeriesKind::Hist {
             let mut merged = HistCell::empty();
             for (_, c) in &s.windows {
                 if let Cell::Hist(h) = c {
@@ -171,13 +163,8 @@ fn main() -> ExitCode {
         }
     };
     let sys = SystemConfig::default();
-    let mut obs_cfg = ObsConfig::off();
+    let mut obs_cfg = ObsConfig::from_env();
     obs_cfg.timeline = true;
-    if let Ok(w) = std::env::var("IVL_TIMELINE_WINDOW") {
-        if let Ok(w) = w.trim().parse::<u64>() {
-            obs_cfg.timeline_window = w.max(1);
-        }
-    }
 
     let mut errors: Vec<String> = Vec::new();
     let mut check = |ok: bool, what: String| {
@@ -199,7 +186,9 @@ fn main() -> ExitCode {
     );
 
     // JSONL round-trip of the timeline at the IVL_TIMELINE path.
-    let tl_path = env_path("IVL_TIMELINE", "ivl_timeline.jsonl");
+    let tl_path = obs_cfg
+        .timeline_path
+        .unwrap_or_else(|| PathBuf::from("ivl_timeline.jsonl"));
     match write_timeline_jsonl(&observed.timeline, &tl_path) {
         Err(e) => check(false, format!("cannot write {}: {e}", tl_path.display())),
         Ok(()) => {

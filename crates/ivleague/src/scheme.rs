@@ -27,7 +27,7 @@ use ivl_sim_core::config::{IvLeagueConfig, IvVariant, SecureMemConfig, SystemCon
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::registry::StatsRegistry;
 use ivl_sim_core::obs::trace::{CacheKind, EventKind};
-use ivl_sim_core::obs::{Obs, Phase};
+use ivl_sim_core::obs::Obs;
 use ivl_sim_core::Cycle;
 
 use crate::bitvector::{BvAllocator, BvVariant};
@@ -149,11 +149,9 @@ pub struct IvLeagueSubsystem {
     pt_base: u64,
     stats: IvStats,
     obs: Obs,
-    /// Cached `obs.tracer.enabled()` / `obs.profiler.is_enabled()` /
-    /// `obs.timeline.enabled()` so the per-access path branches on a bool
-    /// instead of chasing the handles.
+    /// Cached `obs.tracer.enabled()` / `obs.timeline.enabled()` so the
+    /// per-access path branches on a bool instead of chasing the handles.
     trace_on: bool,
-    prof_on: bool,
     tl_on: bool,
 }
 
@@ -257,7 +255,6 @@ impl IvLeagueSubsystem {
             stats: IvStats::default(),
             obs: Obs::disabled(),
             trace_on: false,
-            prof_on: false,
             tl_on: false,
         }
     }
@@ -385,7 +382,6 @@ impl IvLeagueSubsystem {
         domain: DomainId,
         ops: &[TaggedNflOp],
     ) -> Cycle {
-        let _nfl_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Nfl));
         if ops.is_empty() {
             return now;
         }
@@ -481,9 +477,6 @@ impl IvLeagueSubsystem {
         is_write: bool,
     ) -> Cycle {
         let g = self.tl_layout.geometry();
-        let _walk_timing = self
-            .prof_on
-            .then(|| self.obs.profiler.scope(Phase::TreeWalk));
         let mut t = now;
         let mut path_len = 0u64;
         // Constant tail once the walk terminates: read from the memo table
@@ -759,7 +752,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
         if self.slot_of(page).is_some() {
             return now;
         }
-        let _alloc_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Alloc));
         let done = match &mut self.mapper {
             Mapper::Nfl(f) => match f.map_page(domain, page) {
                 Ok(out) => {
@@ -838,7 +830,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
         page: PageNum,
         domain: DomainId,
     ) -> Cycle {
-        let _alloc_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Alloc));
         let t = match &mut self.mapper {
             Mapper::Nfl(f) => match f.unmap_page(domain, page) {
                 Ok(out) => {
@@ -904,7 +895,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
     fn attach_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         self.trace_on = self.obs.tracer.enabled();
-        self.prof_on = self.obs.profiler.is_enabled();
         self.tl_on = self.obs.timeline.enabled();
     }
 
@@ -1203,14 +1193,13 @@ mod tests {
 
     #[test]
     fn trace_and_export_reconcile_with_stats() {
-        use ivl_sim_core::obs::{Profiler, TraceFilter, Tracer, DEFAULT_TRACE_CAP};
+        use ivl_sim_core::obs::{TraceFilter, Tracer, DEFAULT_TRACE_CAP};
 
         let cfg = small_cfg();
         let mut dram = DramModel::new(&cfg.dram);
         let mut s = IvLeagueSubsystem::new(&cfg, IvVariant::Basic, AllocatorKind::Nfl);
         let obs = Obs {
             tracer: Tracer::bounded(DEFAULT_TRACE_CAP, TraceFilter::default()),
-            profiler: Profiler::enabled(),
             timeline: ivl_sim_core::obs::Timeline::bounded(1_000, 1 << 12),
         };
         s.attach_obs(&obs);
@@ -1265,10 +1254,5 @@ mod tests {
         );
         assert!(reg.gauge("iv.forest.mean_utilization").is_some());
         assert!(reg.gauge("iv.d0.nflb_occupancy").is_some());
-
-        // Host-time phases were entered.
-        assert!(obs.profiler.entries(Phase::Nfl) > 0);
-        assert!(obs.profiler.entries(Phase::TreeWalk) > 0);
-        assert_eq!(obs.profiler.entries(Phase::Alloc), 33);
     }
 }

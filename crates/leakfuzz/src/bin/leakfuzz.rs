@@ -23,7 +23,7 @@ use ivl_leakfuzz::corpus::{self, CorpusEntry};
 use ivl_leakfuzz::fuzz::{fuzz_with, Finding, FuzzConfig};
 use ivl_leakfuzz::harness::{run_program, run_program_with_obs, HarnessConfig};
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
-use ivl_sim_core::obs::{write_trace_jsonl, Obs, Profiler, Timeline, TraceFilter, Tracer};
+use ivl_sim_core::obs::{write_trace_jsonl, Obs, Timeline, TraceFilter, Tracer};
 use ivl_simulator::system::SchemeKind;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -64,7 +64,6 @@ fn usage() -> ExitCode {
 fn dump_trace(finding: &Finding, cfg: &HarnessConfig, path: &Path) -> std::io::Result<()> {
     let obs = Obs {
         tracer: Tracer::bounded(1 << 20, TraceFilter::default()),
-        profiler: Profiler::disabled(),
         // A fine-grained window: shrunk programs run for few cycles, so the
         // default 10k-cycle window would flatten the whole run into one cell.
         timeline: Timeline::bounded(256, 1 << 14),

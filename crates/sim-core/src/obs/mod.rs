@@ -3,13 +3,14 @@
 //! Three cooperating pieces (see DESIGN.md §8):
 //!
 //! * [`registry`] — hierarchical dotted-path statistics snapshots with
-//!   delta support and JSON/table export;
+//!   delta support and JSON export;
 //! * [`trace`] — a bounded, cycle-stamped, typed event ring with a JSONL
-//!   sink and forensics helpers;
-//! * [`profile`] — scoped host-time timers aggregated into a per-run
-//!   self-profile;
-//! * [`timeline`] — windowed simulated-time metric series (counters,
-//!   gauges, log₂ histograms per cycle window) with JSONL/CSV export.
+//!   sink and a probe-forensics helper;
+//! * [`timeline`] — windowed simulated-time metric series (counters and
+//!   log₂ histograms per cycle window) with JSONL export.
+//!
+//! Host time is not measured here: the benchmark's traced pass times each
+//! layer from outside the simulator (DESIGN.md §8).
 //!
 //! Models receive a cloneable [`Obs`] handle; a default-constructed
 //! handle is fully disabled and costs one branch per would-be event.
@@ -22,19 +23,16 @@
 //! | `IVL_TRACE_FILTER` | comma list of components, optional `domain=<n>` |
 //! | `IVL_TRACE_CAP` | ring capacity (default `2^20` records) |
 //! | `IVL_STATS_JSON` | write the measured stats registry (flat JSON) to this path |
-//! | `IVL_PROFILE` | `1` → enable host-time self-profiling (exported into the stats) |
 //! | `IVL_TIMELINE` | `1`/`true` → record windowed time series to a default file; any other value → to that path |
 //! | `IVL_TIMELINE_WINDOW` | window width in simulated cycles (default `10_000`) |
 //! | `IVL_TIMELINE_CAP` | retained windows per series (default `4096`, drop-oldest) |
 
-pub mod profile;
 pub mod registry;
 pub mod timeline;
 pub mod trace;
 
 use std::path::{Path, PathBuf};
 
-pub use profile::{Phase, Profiler};
 pub use registry::{StatValue, StatsRegistry};
 pub use timeline::{Timeline, TimelineData, DEFAULT_TIMELINE_CAP, DEFAULT_TIMELINE_WINDOW};
 pub use trace::{
@@ -42,7 +40,7 @@ pub use trace::{
 };
 
 /// The observability handle a run threads through its models: a tracer
-/// and a profiler, both cloneable and both no-ops by default.
+/// and a timeline, both cloneable and both no-ops by default.
 ///
 /// The handle is `!Send` by design (single-threaded per run);
 /// never store it in results returned across threads.
@@ -50,8 +48,6 @@ pub use trace::{
 pub struct Obs {
     /// Structured event tracer.
     pub tracer: Tracer,
-    /// Host-time self-profiler.
-    pub profiler: Profiler,
     /// Windowed simulated-time series recorder.
     pub timeline: Timeline,
 }
@@ -70,11 +66,6 @@ impl Obs {
             } else {
                 Tracer::disabled()
             },
-            profiler: if cfg.profile {
-                Profiler::enabled()
-            } else {
-                Profiler::disabled()
-            },
             timeline: if cfg.timeline {
                 Timeline::bounded(cfg.timeline_window, cfg.timeline_cap)
             } else {
@@ -82,15 +73,10 @@ impl Obs {
             },
         }
     }
-
-    /// Whether anything is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.tracer.enabled() || self.profiler.is_enabled() || self.timeline.enabled()
-    }
 }
 
 /// What a run should observe and where the sinks go, typically parsed
-/// from the environment once per process.
+/// from the environment by [`ObsConfig::from_env`] at the start of a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// Record a structured trace.
@@ -103,8 +89,6 @@ pub struct ObsConfig {
     pub trace_path: Option<PathBuf>,
     /// Stats-registry JSON sink path.
     pub stats_path: Option<PathBuf>,
-    /// Measure host-time phases.
-    pub profile: bool,
     /// Record windowed simulated-time series.
     pub timeline: bool,
     /// Timeline window width in simulated cycles.
@@ -126,8 +110,7 @@ impl ObsConfig {
         }
     }
 
-    /// Parses `IVL_TRACE` / `IVL_TRACE_FILTER` / `IVL_TRACE_CAP` /
-    /// `IVL_STATS_JSON` / `IVL_PROFILE`.
+    /// Parses the variables in the module-level table.
     pub fn from_env() -> Self {
         let mut cfg = ObsConfig::off();
         if let Ok(v) = std::env::var("IVL_TRACE") {
@@ -155,10 +138,6 @@ impl ObsConfig {
             if !v.trim().is_empty() {
                 cfg.stats_path = Some(PathBuf::from(v.trim()));
             }
-        }
-        if let Ok(v) = std::env::var("IVL_PROFILE") {
-            let v = v.trim();
-            cfg.profile = !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false");
         }
         if let Ok(v) = std::env::var("IVL_TIMELINE") {
             let v = v.trim();
@@ -188,7 +167,7 @@ impl ObsConfig {
 
     /// Whether any sink or instrument is on.
     pub fn any_enabled(&self) -> bool {
-        self.trace || self.stats_path.is_some() || self.profile || self.timeline
+        self.trace || self.stats_path.is_some() || self.timeline
     }
 }
 
@@ -244,22 +223,20 @@ mod tests {
     #[test]
     fn default_obs_is_fully_disabled() {
         let obs = Obs::disabled();
-        assert!(!obs.any_enabled());
         assert!(!obs.tracer.enabled());
-        assert!(!obs.profiler.is_enabled());
+        assert!(!obs.timeline.enabled());
     }
 
     #[test]
     fn from_config_enables_requested_pieces() {
         let mut cfg = ObsConfig::off();
         cfg.trace = true;
-        cfg.profile = true;
         cfg.timeline = true;
         let obs = Obs::from_config(&cfg);
         assert!(obs.tracer.enabled());
-        assert!(obs.profiler.is_enabled());
         assert!(obs.timeline.enabled());
-        assert!(!Obs::from_config(&ObsConfig::off()).any_enabled());
+        let off = Obs::from_config(&ObsConfig::off());
+        assert!(!off.tracer.enabled() && !off.timeline.enabled());
     }
 
     #[test]

@@ -7,19 +7,12 @@
 //! measurement window — this is the single warmup-epoch mechanism the
 //! simulator uses instead of per-model `reset_stats` calls.
 //!
-//! Export formats:
-//!
-//! * [`StatsRegistry::to_json`] — a flat JSON object, one dotted path per
-//!   key, parseable back with [`StatsRegistry::parse_json`] (exact
-//!   round-trip; the `IVL_STATS_JSON` sink uses this);
-//! * [`StatsRegistry::to_kv`] — a [`KvDoc`] via the in-tree `kv`
-//!   serializer, rendering as the TOML-subset table form with derived
-//!   convenience values (`*.hit_rate`, histogram means).
+//! Export format: [`StatsRegistry::to_json`] writes a flat JSON object, one
+//! dotted path per key, parseable back with [`StatsRegistry::parse_json`]
+//! (exact round-trip; the `IVL_STATS_JSON` sink uses this).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use ivl_testkit::kv::KvDoc;
 
 use crate::stats::HitMiss;
 
@@ -176,29 +169,6 @@ impl StatsRegistry {
         }
     }
 
-    /// The `pct`-th percentile (in `0.0..=1.0`) of the histogram at `path`,
-    /// read as "the smallest bin index whose cumulative count reaches
-    /// `pct · total`" — registry histograms are index-valued (bin *i* counts
-    /// occurrences of value *i*, e.g. walk depth). `None` when the path is
-    /// not a histogram or the histogram is empty.
-    pub fn histogram_percentile(&self, path: &str, pct: f64) -> Option<u64> {
-        match self.get(path)? {
-            StatValue::Histogram(bins) => {
-                let total = bins.iter().fold(0u64, |a, &b| a.saturating_add(b));
-                if total == 0 {
-                    return None;
-                }
-                Some(crate::obs::timeline::percentile_of_bins(
-                    bins,
-                    total,
-                    pct,
-                    |i| i as u64,
-                ))
-            }
-            _ => None,
-        }
-    }
-
     /// Iterates `(path, value)` pairs in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &StatValue)> {
         self.nodes.iter().map(|(k, v)| (k.as_str(), v))
@@ -218,49 +188,6 @@ impl StatsRegistry {
             out.nodes.insert(path.clone(), d);
         }
         out
-    }
-
-    /// Exports through the in-tree `kv` serializer: counters and gauges
-    /// map directly, ratios expand to `.hits`/`.misses`/`.hit_rate`,
-    /// histograms to `.bin<i>`/`.total` plus `.p50`/`.p95`/`.p99`
-    /// percentile bins (omitted when empty).
-    pub fn to_kv(&self) -> KvDoc {
-        let mut doc = KvDoc::new();
-        let clamp = |v: u64| v.min(i64::MAX as u64);
-        for (path, value) in &self.nodes {
-            match value {
-                StatValue::Counter(v) => doc.set_u64(path, clamp(*v)),
-                StatValue::Gauge(v) => doc.set_f64(path, *v),
-                StatValue::Ratio { hits, misses } => {
-                    doc.set_u64(&format!("{path}.hits"), clamp(*hits));
-                    doc.set_u64(&format!("{path}.misses"), clamp(*misses));
-                    doc.set_f64(
-                        &format!("{path}.hit_rate"),
-                        HitMiss::from_parts(*hits, *misses).hit_rate(),
-                    );
-                }
-                StatValue::Histogram(bins) => {
-                    for (i, b) in bins.iter().enumerate() {
-                        doc.set_u64(&format!("{path}.bin{i}"), clamp(*b));
-                    }
-                    doc.set_u64(
-                        &format!("{path}.total"),
-                        clamp(bins.iter().fold(0u64, |a, &b| a.saturating_add(b))),
-                    );
-                    for (tag, pct) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                        if let Some(p) = self.histogram_percentile(path, pct) {
-                            doc.set_u64(&format!("{path}.{tag}"), clamp(p));
-                        }
-                    }
-                }
-            }
-        }
-        doc
-    }
-
-    /// The TOML-subset table rendering of [`to_kv`](Self::to_kv).
-    pub fn to_table_string(&self) -> String {
-        self.to_kv().to_toml_string()
     }
 
     /// Serializes as a flat JSON object: counters as integers, gauges as
@@ -565,33 +492,6 @@ mod tests {
         let mut end = StatsRegistry::new();
         end.set_counter("c", 40); // nonsensical ordering
         assert_eq!(end.delta(&warm).counter("c"), Some(0));
-    }
-
-    #[test]
-    fn kv_export_expands_ratios_and_histograms() {
-        let text = sample().to_table_string();
-        assert!(
-            text.contains("hit_rate = 0.7142857142857143") || text.contains("hit_rate = 0.714")
-        );
-        assert!(text.contains("bin2 = 9"));
-        assert!(text.contains("[dram]\nreads = 123"));
-        // Percentile satellites ride along in the table export.
-        assert!(text.contains("p50 = 2"));
-        assert!(text.contains("p95 = 2"));
-        assert!(text.contains("p99 = 2"));
-    }
-
-    #[test]
-    fn histogram_percentiles_walk_cumulative_bins() {
-        let r = sample();
-        // bins [0, 5, 9, 0], total 14: p·14 targets 7 → bin 2, 0.25·14 → bin 1.
-        assert_eq!(r.histogram_percentile("scheme.walk_depth", 0.50), Some(2));
-        assert_eq!(r.histogram_percentile("scheme.walk_depth", 0.25), Some(1));
-        assert_eq!(r.histogram_percentile("scheme.walk_depth", 0.99), Some(2));
-        assert_eq!(r.histogram_percentile("dram.reads", 0.5), None);
-        let mut empty = StatsRegistry::new();
-        empty.set_histogram("h", &[0, 0]);
-        assert_eq!(empty.histogram_percentile("h", 0.5), None);
     }
 
     #[test]

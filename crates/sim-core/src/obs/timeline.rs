@@ -3,14 +3,14 @@
 //! Where the [`registry`](super::registry) answers "how much, in total, over
 //! the measured epoch", the timeline answers "how much, *when*": every record
 //! lands in a window of configurable width keyed on the simulated cycle, and
-//! each `(series, window)` cell is a counter, a gauge, or a log₂-bucketed
-//! histogram. The recorder mirrors the tracer's shape — a cheap cloneable
-//! `!Send` [`Timeline`] handle that is a single branch when disabled, with a
-//! ring bound (drop-oldest, counted) so an unexpectedly long run cannot eat
-//! the host.
+//! each `(series, window)` cell is a counter or a log₂-bucketed histogram.
+//! The recorder mirrors the tracer's shape — a cheap cloneable `!Send`
+//! [`Timeline`] handle that is a single branch when disabled, with a ring
+//! bound (drop-oldest, counted) so an unexpectedly long run cannot eat the
+//! host.
 //!
 //! [`TimelineData`] is the plain, `Send` snapshot. Export is line-oriented
-//! JSONL (exact round-trip via [`parse_jsonl`]) or CSV for plotting.
+//! JSONL (exact round-trip via [`parse_jsonl`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -30,8 +30,6 @@ pub const HIST_BUCKETS: usize = 65;
 pub enum SeriesKind {
     /// Saturating event count per window.
     Counter,
-    /// High-water mark per window.
-    Gauge,
     /// Log₂-bucketed value distribution per window.
     Hist,
 }
@@ -41,7 +39,6 @@ impl SeriesKind {
     pub fn tag(self) -> &'static str {
         match self {
             SeriesKind::Counter => "counter",
-            SeriesKind::Gauge => "gauge",
             SeriesKind::Hist => "hist",
         }
     }
@@ -49,7 +46,6 @@ impl SeriesKind {
     fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "counter" => Some(SeriesKind::Counter),
-            "gauge" => Some(SeriesKind::Gauge),
             "hist" => Some(SeriesKind::Hist),
             _ => None,
         }
@@ -132,15 +128,10 @@ impl HistCell {
     }
 }
 
-/// Shared percentile walk over cumulative bins: smallest bin whose cumulative
+/// Percentile walk over cumulative bins: smallest bin whose cumulative
 /// count reaches `pct · total`, mapped through `value_of`. Returns 0 for an
 /// empty histogram.
-pub fn percentile_of_bins(
-    bins: &[u64],
-    total: u64,
-    pct: f64,
-    value_of: impl Fn(usize) -> u64,
-) -> u64 {
+fn percentile_of_bins(bins: &[u64], total: u64, pct: f64, value_of: impl Fn(usize) -> u64) -> u64 {
     if total == 0 {
         return 0;
     }
@@ -160,8 +151,6 @@ pub fn percentile_of_bins(
 pub enum Cell {
     /// Saturating count.
     Counter(u64),
-    /// Window high-water mark.
-    Gauge(f64),
     /// Log₂ histogram.
     Hist(HistCell),
 }
@@ -170,7 +159,6 @@ impl Cell {
     fn kind(&self) -> SeriesKind {
         match self {
             Cell::Counter(_) => SeriesKind::Counter,
-            Cell::Gauge(_) => SeriesKind::Gauge,
             Cell::Hist(_) => SeriesKind::Hist,
         }
     }
@@ -323,20 +311,6 @@ impl TimelineData {
         }
     }
 
-    /// Raises the gauge series `name` in `cycle`'s window to at least `v`.
-    pub fn gauge(&mut self, name: &str, cycle: u64, v: f64) {
-        let (window, cap) = (self.window, self.cap);
-        let wi = cycle / window;
-        let s = self.series_mut(name, SeriesKind::Gauge);
-        if s.kind != SeriesKind::Gauge {
-            debug_assert!(false, "series {name} is not a gauge");
-            return;
-        }
-        if let Some(Cell::Gauge(g)) = s.cell_mut(wi, cap, || Cell::Gauge(f64::NEG_INFINITY)) {
-            *g = g.max(v);
-        }
-    }
-
     /// Observes `v` into the histogram series `name` in `cycle`'s window.
     pub fn observe(&mut self, name: &str, cycle: u64, v: u64) {
         let (window, cap) = (self.window, self.cap);
@@ -391,10 +365,6 @@ impl TimelineData {
                         "{{\"series\":{},\"w\":{wi},\"start\":{start},\"v\":{v}}}\n",
                         json_str(name)
                     )),
-                    Cell::Gauge(g) => out.push_str(&format!(
-                        "{{\"series\":{},\"w\":{wi},\"start\":{start},\"g\":{g:?}}}\n",
-                        json_str(name)
-                    )),
                     Cell::Hist(h) => {
                         let mut buckets = String::new();
                         for (b, &c) in h.buckets.iter().enumerate() {
@@ -447,8 +417,6 @@ impl TimelineData {
             let wi = field_u64(line, "w").ok_or_else(|| err("missing \"w\""))?;
             let cell = if let Some(v) = field_u64(line, "v") {
                 Cell::Counter(v)
-            } else if let Some(g) = field_f64(line, "g") {
-                Cell::Gauge(g)
             } else if let Some(count) = field_u64(line, "count") {
                 let mut h = HistCell {
                     count,
@@ -483,37 +451,6 @@ impl TimelineData {
             s.windows.make_contiguous().sort_by_key(|&(w, _)| w);
         }
         Ok(data)
-    }
-
-    /// CSV export: one row per `(series, window)` with percentiles for
-    /// histogram cells.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("series,kind,window,start,value,count,sum,min,max,p50,p95,p99\n");
-        for (name, s) in &self.series {
-            for (wi, cell) in &s.windows {
-                let start = wi.saturating_mul(self.window);
-                match cell {
-                    Cell::Counter(v) => {
-                        out.push_str(&format!("{name},counter,{wi},{start},{v},,,,,,,\n"));
-                    }
-                    Cell::Gauge(g) => {
-                        out.push_str(&format!("{name},gauge,{wi},{start},{g:?},,,,,,,\n"));
-                    }
-                    Cell::Hist(h) => out.push_str(&format!(
-                        "{name},hist,{wi},{start},,{},{},{},{},{},{},{}\n",
-                        h.count,
-                        h.sum,
-                        h.min,
-                        h.max,
-                        h.percentile(0.50),
-                        h.percentile(0.95),
-                        h.percentile(0.99)
-                    )),
-                }
-            }
-        }
-        out
     }
 }
 
@@ -589,10 +526,6 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     field_raw(line, key)?.parse().ok()
 }
 
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field_raw(line, key)?.parse().ok()
-}
-
 fn field_str(line: &str, key: &str) -> Option<String> {
     let raw = field_raw(line, key)?;
     let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
@@ -649,13 +582,6 @@ impl Timeline {
         }
     }
 
-    /// Raises gauge series `name` in `cycle`'s window to at least `v`.
-    pub fn gauge(&self, name: &str, cycle: u64, v: f64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauge(name, cycle, v);
-        }
-    }
-
     /// Observes `v` into histogram series `name` in `cycle`'s window.
     pub fn observe(&self, name: &str, cycle: u64, v: u64) {
         if let Some(inner) = &self.inner {
@@ -703,7 +629,6 @@ mod tests {
         let tl = Timeline::disabled();
         tl.count("x", 0, 1);
         tl.observe("y", 0, 1);
-        tl.gauge("z", 0, 1.0);
         assert!(!tl.enabled());
         assert!(tl.snapshot().is_empty());
         assert_eq!(tl.dropped(), 0);
@@ -782,36 +707,15 @@ mod tests {
     }
 
     #[test]
-    fn gauges_keep_window_high_water_marks() {
-        let mut d = TimelineData::new(10, 8);
-        d.gauge("q", 1, 2.5);
-        d.gauge("q", 5, 1.0);
-        d.gauge("q", 15, 4.0);
-        assert_eq!(d.series["q"].windows[0].1, Cell::Gauge(2.5));
-        assert_eq!(d.series["q"].windows[1].1, Cell::Gauge(4.0));
-    }
-
-    #[test]
     fn jsonl_round_trips_exactly() {
         let mut d = TimelineData::new(10_000, 32);
         d.count("dram.reads", 123, 4);
         d.count("dram.reads", 25_000, 9);
-        d.gauge("cal.occupancy", 11_000, 3.25);
         d.observe("dram.latency", 500, 42);
         d.observe("dram.latency", 700, 0);
         d.series.get_mut("dram.reads").unwrap().dropped = 7;
         let parsed = TimelineData::parse_jsonl(&d.to_jsonl()).expect("own JSONL parses");
         assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_window() {
-        let mut d = TimelineData::new(10, 8);
-        d.count("a", 1, 1);
-        d.observe("b", 1, 9);
-        let csv = d.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().next().unwrap().starts_with("series,kind"));
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub enum EventKind {
     PageDealloc,
     /// A run-phase boundary (e.g. warmup → measurement).
     Epoch {
-        /// Phase label, e.g. `"measure"`.
+        /// Name of the run segment that starts here, e.g. `"measure"`.
         label: &'static str,
     },
 }
@@ -585,27 +585,6 @@ pub fn probe_observations(records: &[TraceRecord]) -> Vec<(u32, Cycle)> {
         .collect()
 }
 
-/// Forensics: reconstructs the metadata-cache access pattern the attack
-/// measures — every counter/tree/MAC/LMM cache lookup plus tree-walk
-/// levels, as `(cycle, component, hit)` triples in trace order. Contiguous
-/// miss runs in this stream are exactly the signal the occupancy attack
-/// times.
-pub fn metadata_accesses(records: &[TraceRecord]) -> Vec<(Cycle, &'static str, bool)> {
-    records
-        .iter()
-        .filter_map(|r| match r.kind {
-            EventKind::CacheAccess { cache, hit, .. }
-                if !matches!(cache, CacheKind::L2 | CacheKind::Llc) =>
-            {
-                Some((r.cycle, cache.name(), hit))
-            }
-            EventKind::TreeWalkLevel { hit, .. } => Some((r.cycle, "tree_walk", hit)),
-            EventKind::NflbAccess { hit } => Some((r.cycle, "nflb", hit)),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn forensics_helpers_extract_expected_streams() {
+    fn probe_observations_keep_only_probe_events() {
         let t = probe_tracer();
         t.emit(
             1,
@@ -752,27 +731,6 @@ mod tests {
         );
         t.emit(
             2,
-            "cache",
-            None,
-            None,
-            EventKind::CacheAccess {
-                cache: CacheKind::Llc,
-                hit: true,
-                evicted: false,
-            },
-        );
-        t.emit(
-            3,
-            "scheme",
-            None,
-            None,
-            EventKind::TreeWalkLevel {
-                level: 1,
-                hit: false,
-            },
-        );
-        t.emit(
-            4,
             "attacker",
             None,
             None,
@@ -781,13 +739,7 @@ mod tests {
                 latency: 777,
             },
         );
-        let records = t.sorted_records();
-        assert_eq!(
-            metadata_accesses(&records),
-            vec![(1, "ctr_cache", true), (3, "tree_walk", false)],
-            "LLC access is not metadata"
-        );
-        assert_eq!(probe_observations(&records), vec![(5, 777)]);
+        assert_eq!(probe_observations(&t.sorted_records()), vec![(5, 777)]);
     }
 
     #[test]

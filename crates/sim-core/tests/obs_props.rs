@@ -108,7 +108,6 @@ fn fill_tracer(tracer: &Tracer, seed: u64, events: usize) {
 #[derive(Debug, Clone)]
 enum TlOp {
     Count(String, u64, u64),
-    Gauge(String, u64, f64),
     Observe(String, u64, u64),
 }
 
@@ -121,13 +120,8 @@ fn random_tl_ops(seed: u64, ops: usize, max_cycle: u64) -> Vec<TlOp> {
         .map(|_| {
             let name = format!("s{}", rng.index(5));
             let cycle = rng.next_u64() % max_cycle.max(1);
-            match rng.index(3) {
+            match rng.index(2) {
                 0 => TlOp::Count(format!("c.{name}"), cycle, 1 + rng.next_u64() % 100),
-                1 => TlOp::Gauge(
-                    format!("g.{name}"),
-                    cycle,
-                    (rng.next_u64() % 1_000_000) as f64 / 997.0,
-                ),
                 _ => TlOp::Observe(format!("h.{name}"), cycle, rng.next_u64() >> rng.index(60)),
             }
         })
@@ -137,7 +131,6 @@ fn random_tl_ops(seed: u64, ops: usize, max_cycle: u64) -> Vec<TlOp> {
 fn apply_tl_op(tl: &mut TimelineData, op: &TlOp) {
     match op {
         TlOp::Count(name, cycle, n) => tl.count(name, *cycle, *n),
-        TlOp::Gauge(name, cycle, v) => tl.gauge(name, *cycle, *v),
         TlOp::Observe(name, cycle, v) => tl.observe(name, *cycle, *v),
     }
 }

@@ -12,7 +12,7 @@ use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
 use ivl_sim_core::obs::{
     decorate_path, path_tag, write_stats_json, write_trace_jsonl, CacheKind, EventKind, Obs,
-    ObsConfig, Phase, StatsRegistry, TimelineData, TraceRecord,
+    ObsConfig, StatsRegistry, TimelineData, TraceRecord,
 };
 use ivl_sim_core::stats::HitMiss;
 use ivl_sim_core::Cycle;
@@ -347,10 +347,10 @@ pub fn run_mix(mix: &Mix, scheme_kind: SchemeKind, run: &RunConfig) -> MixResult
 /// (used by the sensitivity studies of Figure 20).
 ///
 /// Observability is driven by the environment (`IVL_TRACE`,
-/// `IVL_STATS_JSON`, `IVL_PROFILE`, …): when any sink is requested the run
-/// records through [`run_mix_observed`] and writes the sinks to paths
-/// decorated with a `<mix>.<scheme>` tag, so parallel matrix runs never
-/// clobber each other's files.
+/// `IVL_STATS_JSON`, `IVL_TIMELINE`, …), read once per call: when any sink
+/// is requested the run records through [`run_mix_observed`] and writes the
+/// sinks to paths decorated with a `<mix>.<scheme>` tag, so parallel matrix
+/// runs never clobber each other's files.
 pub fn run_mix_with_config(
     mix: &Mix,
     scheme_kind: SchemeKind,
@@ -410,7 +410,7 @@ fn export_run_stats(
 /// Runs one mix under one scheme while recording the observability
 /// artifacts `obs_cfg` asks for. With [`ObsConfig::off`] this is exactly
 /// [`run_mix_with_config`] minus the environment lookup: the tracer and
-/// profiler handles stay disabled and every instrument collapses to one
+/// timeline handles stay disabled and every instrument collapses to one
 /// branch.
 ///
 /// Statistics are measured with **epoch deltas**, not resets: at the
@@ -429,7 +429,6 @@ pub fn run_mix_observed(
     // Cached enabled flags: the hot loop branches on plain bools instead of
     // re-querying the handles per event.
     let trace_on = obs.tracer.enabled();
-    let prof_on = obs.profiler.is_enabled();
     let tl_on = obs.timeline.enabled();
     let mut scheme = scheme_kind.build(cfg);
     scheme.as_subsystem().attach_obs(&obs);
@@ -546,10 +545,7 @@ pub fn run_mix_observed(
         }
 
         let core = &mut cores[idx];
-        let event = {
-            let _gen_timing = prof_on.then(|| obs.profiler.scope(Phase::TraceGen));
-            gens[core.gen].next_event()
-        };
+        let event = gens[core.gen].next_event();
         // Labeled so the cache-hit early exits still fall through to the
         // requeue below (a plain `continue` would skip rescheduling the
         // core and stall the calendar).
@@ -571,10 +567,7 @@ pub fn run_mix_observed(
                     // the first hierarchy level consulted is the private L2.
                     let key = block.index();
                     core.now += cfg.core.l2.hit_latency;
-                    let l2 = {
-                        let _cache_timing = prof_on.then(|| obs.profiler.scope(Phase::CoreCache));
-                        core.l2.access(key, is_write)
-                    };
+                    let l2 = core.l2.access(key, is_write);
                     if trace_on {
                         obs.tracer.emit(
                             core.now,
@@ -596,10 +589,7 @@ pub fn run_mix_observed(
                         llc_writebacks.push(e.key);
                     }
                     core.now += cfg.llc.cache.hit_latency - cfg.core.l2.hit_latency;
-                    let llc_out = {
-                        let _cache_timing = prof_on.then(|| obs.profiler.scope(Phase::CoreCache));
-                        llc.access(key, is_write)
-                    };
+                    let llc_out = llc.access(key, is_write);
                     let llc_hit = llc_out.hit;
                     if tl_on {
                         ivl_cache::timeline_outcome(
@@ -625,8 +615,6 @@ pub fn run_mix_observed(
                     }
                     if let Some(e) = llc_out.evicted.filter(|e| e.dirty) {
                         // LLC dirty eviction: secure write-back to memory.
-                        let _integrity_timing =
-                            prof_on.then(|| obs.profiler.scope(Phase::Integrity));
                         scheme.as_subsystem().data_access(
                             core.now,
                             &mut dram,
@@ -647,8 +635,6 @@ pub fn run_mix_observed(
                             );
                         }
                         if let Some(e) = out.evicted.filter(|e| e.dirty) {
-                            let _integrity_timing =
-                                prof_on.then(|| obs.profiler.scope(Phase::Integrity));
                             scheme.as_subsystem().data_access(
                                 core.now,
                                 &mut dram,
@@ -662,17 +648,13 @@ pub fn run_mix_observed(
                         break 'event;
                     }
                     // LLC miss: the secure memory path.
-                    let done = {
-                        let _integrity_timing =
-                            prof_on.then(|| obs.profiler.scope(Phase::Integrity));
-                        scheme.as_subsystem().data_access(
-                            core.now,
-                            &mut dram,
-                            block,
-                            core.domain,
-                            is_write,
-                        )
-                    };
+                    let done = scheme.as_subsystem().data_access(
+                        core.now,
+                        &mut dram,
+                        block,
+                        core.domain,
+                        is_write,
+                    );
                     let latency = done.saturating_sub(core.now);
                     if measuring && !is_write {
                         llc_miss_reads += 1;
@@ -766,11 +748,9 @@ pub fn run_mix_observed(
     registry.set_counter("run.core_accesses", core_accesses);
     registry.set_counter("run.llc_miss_reads", llc_miss_reads);
     registry.set_counter("run.read_latency_sum", read_latency_sum);
-    // Self-profile covers the whole run (warmup included) — exported after
-    // the delta so the epoch subtraction never touches it. The obs-layer
-    // truncation counters ride along the same way: a nonzero value means a
-    // ring dropped data silently, visible in every JSON snapshot.
-    obs.profiler.export(&mut registry);
+    // The obs-layer truncation counters are exported after the delta so the
+    // epoch subtraction never touches them: a nonzero value means a ring
+    // dropped data silently, visible in every JSON snapshot.
     if obs.tracer.enabled() {
         registry.set_counter("obs.trace.dropped", obs.tracer.dropped());
     }
