@@ -150,10 +150,12 @@ fn bench_scheduler(h: &mut Harness) {
 
 fn bench_nfl_and_forest(h: &mut Harness) {
     h.group("ivleague_mechanisms");
-    let mut nfl = Nfl::new((0..512).collect(), 8, 8);
+    let mut nfl = Nfl::new(0..512, 8, 8);
+    let mut touched = Vec::new();
     h.bench("nfl_alloc_free_pair", || {
-        let a = nfl.alloc().expect("capacity");
-        nfl.free(a.tag, a.slot)
+        touched.clear();
+        let a = nfl.alloc(&mut touched).expect("capacity");
+        nfl.free(a.tag, a.slot, &mut touched)
     });
     for variant in IvVariant::ALL {
         let mut forest = Forest::new(ForestConfig::small_for_tests(variant));
@@ -164,6 +166,30 @@ fn bench_nfl_and_forest(h: &mut Harness) {
             let p = PageNum::new(page);
             forest.map_page(d, p).expect("capacity");
             forest.unmap_page(d, p).expect("mapped")
+        });
+    }
+    // Footprint ramps at Table I geometry: every iteration maps a fresh
+    // page, so assigning and initializing TreeLings is amortised into the
+    // per-page cost the way an `alloc-ramp` point pays it. Each ramp
+    // restarts on a fresh forest after `RAMP_PAGES` pages (about one
+    // large-mix process footprint), which keeps memory bounded.
+    const RAMP_PAGES: u64 = 1 << 18;
+    let table1 = SystemConfig::default();
+    for variant in IvVariant::ALL {
+        let cfg =
+            ForestConfig::from_ivleague(&table1.ivleague, table1.secure.tree_arity as u32, variant);
+        let mut forest = Forest::new(cfg);
+        let d = DomainId::new_unchecked(0);
+        let mut page = 0u64;
+        h.bench(&format!("forest_ramp_{variant:?}"), || {
+            if page == RAMP_PAGES {
+                forest = Forest::new(cfg);
+                page = 0;
+            }
+            let out = forest.map_page(d, PageNum::new(page)).expect("capacity");
+            page += 1;
+            forest.recycle_ops(out.nfl_ops);
+            out.slot
         });
     }
 }

@@ -16,11 +16,11 @@
 
 use ivl_sim_core::addr::PageNum;
 use ivl_sim_core::domain::DomainId;
-use ivl_sim_core::fxhash::FxHashMap;
 
 use crate::domains::{DomainController, StarvationError};
 use crate::forest::ForestError;
 use crate::geometry::{LeafSlot, TlNode, TreeLingGeometry, TreeLingId};
+use crate::pagemap::{PageEntry, PageTable};
 
 /// Which naive variant to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,11 +131,11 @@ pub struct BvAllocator {
     geometry: TreeLingGeometry,
     variant: BvVariant,
     controller: DomainController,
-    // Fast deterministic hashing, same rationale as `Forest`: `slot_of`
-    // runs on every LLC miss and the page map is merged with ownership so
-    // an alloc/free touches one large table, not two.
-    treelings: FxHashMap<TreeLingId, BvTreeLing>,
-    pages: FxHashMap<PageNum, (LeafSlot, DomainId)>,
+    /// Bit vectors of active TreeLings, indexed by `TreeLingId.0`.
+    treelings: Vec<Option<BvTreeLing>>,
+    /// The same page table as the forest's: `slot_of` runs on every LLC
+    /// miss, and ownership rides in the same record.
+    pages: PageTable<PageEntry>,
     /// Slots leaked by BV-v1 (freed but never reallocatable).
     leaked_slots: u64,
     /// Total bit-vector blocks scanned (cost accounting).
@@ -149,8 +149,8 @@ impl BvAllocator {
             geometry,
             variant,
             controller: DomainController::new(treeling_count),
-            treelings: FxHashMap::default(),
-            pages: FxHashMap::default(),
+            treelings: (0..treeling_count).map(|_| None).collect(),
+            pages: PageTable::new(),
             leaked_slots: 0,
             total_blocks_scanned: 0,
         }
@@ -173,7 +173,7 @@ impl BvAllocator {
 
     /// The slot mapping `page`, if any.
     pub fn slot_of(&self, page: PageNum) -> Option<LeafSlot> {
-        self.pages.get(&page).map(|&(slot, _)| slot)
+        self.pages.get(page).map(|e| e.slot())
     }
 
     fn slot_from_index(&self, treeling: TreeLingId, slot_index: usize) -> LeafSlot {
@@ -241,27 +241,29 @@ impl BvAllocator {
         domain: DomainId,
         page: PageNum,
     ) -> Result<BvMapOutcome, StarvationError> {
-        assert!(!self.pages.contains_key(&page), "page double-mapped");
+        assert!(self.pages.get(page).is_none(), "page double-mapped");
         let mut blocks = 0u64;
-        let owned: Vec<TreeLingId> = self.controller.treelings_of(domain).to_vec();
 
         // BV-v1 only ever looks at the current (last) TreeLing. BV-v2's
         // head "moves back across TreeLings" on deallocation (paper §X-A3),
         // so its allocation search walks the TreeLings oldest-first — the
         // current TreeLing keeps an accurate head, older ones are scanned
         // from scratch. This is the O(N) cost the paper charges it with.
-        let candidates: Vec<TreeLingId> = match self.variant {
-            BvVariant::V1 => owned.last().copied().into_iter().collect(),
-            BvVariant::V2 => owned,
+        let n = self.controller.treelings_of(domain).len();
+        let first = match self.variant {
+            BvVariant::V1 => n.saturating_sub(1),
+            BvVariant::V2 => 0,
         };
-        let current = *candidates.last().unwrap_or(&TreeLingId(u32::MAX));
-        for tid in candidates {
-            let tl = self.treelings.get_mut(&tid).expect("owned treeling");
+        for i in first..n {
+            let tid = self.controller.treelings_of(domain)[i];
+            let tl = self.treelings[tid.0 as usize]
+                .as_mut()
+                .expect("owned treeling");
             // The head register is only meaningful for the current
             // TreeLing; a naive cross-TreeLing search (BV-v2) must scan
             // older TreeLings from the beginning — the O(N) cost the paper
             // charges it with.
-            let start = if tid == current { tl.head } else { 0 };
+            let start = if i == n - 1 { tl.head } else { 0 };
             let (found, scanned) = Self::scan_from(tl, start);
             blocks += scanned;
             if let Some(idx) = found {
@@ -269,7 +271,7 @@ impl BvAllocator {
                 tl.head = idx + 1;
                 self.total_blocks_scanned += blocks;
                 let slot = self.slot_from_index(tid, idx);
-                self.pages.insert(page, (slot, domain));
+                self.pages.insert(page, PageEntry::new(slot, domain));
                 return Ok(BvMapOutcome {
                     slot,
                     blocks_scanned: blocks,
@@ -280,15 +282,14 @@ impl BvAllocator {
 
         // Grow.
         let tid = self.controller.assign(domain)?;
-        self.treelings
-            .insert(tid, BvTreeLing::new(self.geometry.leaf_capacity() as usize));
-        let tl = self.treelings.get_mut(&tid).expect("just inserted");
+        let tl = self.treelings[tid.0 as usize]
+            .insert(BvTreeLing::new(self.geometry.leaf_capacity() as usize));
         tl.occupy(0);
         tl.head = 1;
         blocks += 1;
         self.total_blocks_scanned += blocks;
         let slot = self.slot_from_index(tid, 0);
-        self.pages.insert(page, (slot, domain));
+        self.pages.insert(page, PageEntry::new(slot, domain));
         Ok(BvMapOutcome {
             slot,
             blocks_scanned: blocks,
@@ -306,16 +307,19 @@ impl BvAllocator {
         domain: DomainId,
         page: PageNum,
     ) -> Result<BvUnmapOutcome, ForestError> {
-        let (slot, owner) = *self.pages.get(&page).ok_or(ForestError::NotMapped(page))?;
-        if owner != domain {
+        let e = *self.pages.get(page).ok_or(ForestError::NotMapped(page))?;
+        if e.domain() != domain {
             return Err(ForestError::WrongDomain(page));
         }
-        self.pages.remove(&page);
+        self.pages.remove(page);
+        let slot = e.slot();
 
         let idx = self.slot_to_index(slot);
         let current = self.controller.treelings_of(domain).last().copied();
         let in_current = current == Some(slot.treeling);
-        let tl = self.treelings.get_mut(&slot.treeling).expect("treeling");
+        let tl = self.treelings[slot.treeling.0 as usize]
+            .as_mut()
+            .expect("treeling");
         tl.release(idx);
 
         let leaked = match self.variant {
@@ -344,9 +348,9 @@ impl BvAllocator {
 
     /// Destroys a domain, recycling its TreeLings.
     pub fn destroy_domain(&mut self, domain: DomainId) {
-        self.pages.retain(|_, &mut (_, d)| d != domain);
-        for tid in self.controller.treelings_of(domain).to_vec() {
-            self.treelings.remove(&tid);
+        self.pages.retain(|_, e| e.domain() != domain);
+        for &tid in self.controller.treelings_of(domain) {
+            self.treelings[tid.0 as usize] = None;
         }
         self.controller.destroy(domain);
     }

@@ -16,7 +16,7 @@
 //! re-assigned oldest-first. That order decides forest layout, so it is
 //! pinned by a unit test below.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ivl_sim_core::domain::DomainId;
 
@@ -59,7 +59,10 @@ impl std::error::Error for StarvationError {}
 #[derive(Debug, Clone)]
 pub struct DomainController {
     unassigned: VecDeque<TreeLingId>,
-    assignment: HashMap<DomainId, Vec<TreeLingId>>,
+    /// The assignment table, indexed by [`DomainId::index`]: `None` for a
+    /// domain that never held a TreeLing or was destroyed. Every map and
+    /// unmap reads it, so it is a dense table rather than a hash map.
+    assignment: Vec<Option<Vec<TreeLingId>>>,
     starvation_events: u64,
 }
 
@@ -68,7 +71,7 @@ impl DomainController {
     pub fn new(treeling_count: u32) -> Self {
         DomainController {
             unassigned: (0..treeling_count).map(TreeLingId).collect(),
-            assignment: HashMap::new(),
+            assignment: Vec::new(),
             starvation_events: 0,
         }
     }
@@ -81,7 +84,11 @@ impl DomainController {
     pub fn assign(&mut self, domain: DomainId) -> Result<TreeLingId, StarvationError> {
         match self.unassigned.pop_front() {
             Some(t) => {
-                self.assignment.entry(domain).or_default().push(t);
+                let di = domain.index();
+                if di >= self.assignment.len() {
+                    self.assignment.resize_with(di + 1, || None);
+                }
+                self.assignment[di].get_or_insert_with(Vec::new).push(t);
                 Ok(t)
             }
             None => {
@@ -94,15 +101,15 @@ impl DomainController {
     /// TreeLings currently assigned to `domain`, in assignment order.
     pub fn treelings_of(&self, domain: DomainId) -> &[TreeLingId] {
         self.assignment
-            .get(&domain)
-            .map(Vec::as_slice)
+            .get(domain.index())
+            .and_then(Option::as_deref)
             .unwrap_or(&[])
     }
 
     /// Detaches one TreeLing from a domain (e.g. after it drained), putting
     /// it back on the FIFO. Returns whether it was assigned to the domain.
     pub fn detach(&mut self, domain: DomainId, treeling: TreeLingId) -> bool {
-        if let Some(list) = self.assignment.get_mut(&domain) {
+        if let Some(Some(list)) = self.assignment.get_mut(domain.index()) {
             if let Some(pos) = list.iter().position(|t| *t == treeling) {
                 list.remove(pos);
                 self.unassigned.push_back(treeling);
@@ -114,7 +121,11 @@ impl DomainController {
 
     /// Destroys a domain, recycling all of its TreeLings.
     pub fn destroy(&mut self, domain: DomainId) {
-        if let Some(list) = self.assignment.remove(&domain) {
+        if let Some(list) = self
+            .assignment
+            .get_mut(domain.index())
+            .and_then(Option::take)
+        {
             self.unassigned.extend(list);
         }
     }
@@ -126,7 +137,7 @@ impl DomainController {
 
     /// Number of live domains.
     pub fn live_domains(&self) -> usize {
-        self.assignment.len()
+        self.assignment.iter().filter(|a| a.is_some()).count()
     }
 
     /// Total starvation events observed.

@@ -18,6 +18,11 @@ use ivl_sim_core::fxhash::FxHashMap;
 use crate::domains::{DomainController, StarvationError};
 use crate::geometry::{LeafSlot, TlNode, TreeLingGeometry, TreeLingId};
 use crate::nfl::{FreeOutcome, Nfl, NflOp};
+use crate::pagemap::{PageEntry, PageTable};
+
+/// Page numbers a TreeLing slot word can hold: a page is stored as
+/// `page + 2` in 32 bits, so pages must lie below this bound.
+pub const MAX_PAGES: u64 = u32::MAX as u64 - 1;
 
 /// Forest configuration (derived from [`IvLeagueConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +64,67 @@ impl ForestConfig {
             hot_top_nodes: 1,
         }
     }
+
+    /// NFL tag of a node: its forest-wide dense index.
+    fn node_key(&self, treeling: TreeLingId, node: TlNode) -> u64 {
+        treeling.0 as u64 * self.geometry.nodes_per_treeling() as u64
+            + self.geometry.node_offset(node) as u64
+    }
+
+    fn decode_key(&self, key: u64) -> (TreeLingId, TlNode) {
+        let npt = self.geometry.nodes_per_treeling() as u64;
+        let treeling = TreeLingId((key / npt) as u32);
+        let node = self.geometry.node_from_offset((key % npt) as u32);
+        (treeling, node)
+    }
+
+    /// Whether a TreeLing mapping at `frontier` carries a hot region (Pro
+    /// frontier-2 TreeLings with a level 3 below the root).
+    fn has_hot_region(&self, frontier: u32) -> bool {
+        self.variant == IvVariant::Pro && frontier == 2 && self.geometry.levels >= 4
+    }
+
+    /// Reserved hot-region nodes at `level` (the hot level-3 nodes and
+    /// their subtrees), a prefix of that level's index range.
+    fn hot_nodes_at(&self, level: u32) -> u32 {
+        self.hot_top_nodes * self.geometry.arity.pow(self.geometry.levels - 1 - level)
+    }
+
+    /// The depth-extension NFL of `treeling` in its pristine state: level-1
+    /// leaves in forward order — the level-2 frontier fills in reverse, so
+    /// forward extension converts its coldest (lowest-index, last-filled)
+    /// slots first. Under Pro the leaves below the reserved hot subtrees
+    /// are skipped: the hot region drops its last levels (§VII-B), and
+    /// opening one of those leaves would convert a hot slot into a parent.
+    ///
+    /// The result depends only on the TreeLing id and this configuration,
+    /// so the forest builds it on first use instead of at assignment.
+    fn depth_nfl(&self, treeling: TreeLingId) -> Nfl {
+        let g = self.geometry;
+        let reserved = if self.has_hot_region(2) {
+            self.hot_nodes_at(1)
+        } else {
+            0
+        };
+        Nfl::new(
+            (reserved..g.nodes_at_level(1))
+                .map(|index| self.node_key(treeling, TlNode { level: 1, index })),
+            g.arity as u8,
+            self.nfl_entries_per_block,
+        )
+    }
 }
 
-/// Content of one TreeLing node slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Slot word of a free (attachable) slot.
+const FREE: u32 = 0;
+/// Slot word of a slot holding its child node's hash (`is_parent` set).
+const PARENT: u32 = 1;
+
+/// Decoded content of one TreeLing node slot. A slot is stored as one
+/// 32-bit word: [`FREE`], [`PARENT`], or `page + 2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotContent {
     /// Attachable.
-    #[default]
     Free,
     /// Holds the counter-block hash of a page.
     Page(PageNum),
@@ -73,12 +132,37 @@ enum SlotContent {
     Parent,
 }
 
+impl SlotContent {
+    fn from_word(w: u32) -> Self {
+        match w {
+            FREE => SlotContent::Free,
+            PARENT => SlotContent::Parent,
+            w => SlotContent::Page(PageNum::new(w as u64 - 2)),
+        }
+    }
+
+    fn word(self) -> u32 {
+        match self {
+            SlotContent::Free => FREE,
+            SlotContent::Parent => PARENT,
+            SlotContent::Page(p) => {
+                assert!(
+                    p.index() < MAX_PAGES,
+                    "{p} does not fit a TreeLing slot word"
+                );
+                p.index() as u32 + 2
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct TreeLingState {
-    #[allow(dead_code)]
     owner: DomainId,
-    /// `slots[node_offset * arity + slot]`.
-    slots: Vec<SlotContent>,
+    /// Slot words, `slots[node_offset * arity + slot]`. Levels are laid
+    /// out root-first, so the level-1 region comes last and stays
+    /// untouched (and its zeroed pages unfaulted) until depth extension.
+    slots: Vec<u32>,
     /// Primary NFL (leaves for Basic; the frontier level for Invert/Pro).
     nfl: Nfl,
     /// Pages currently mapped into this TreeLing.
@@ -88,10 +172,35 @@ struct TreeLingState {
     frontier: u32,
     /// Initial primary-NFL slot capacity (utilization accounting).
     top_capacity: u64,
-    /// Depth-extension NFL over level-1 nodes (Invert/Pro frontier-2 only).
+    /// Whether the TreeLing may extend into level 1 (Invert/Pro
+    /// frontier-2 only).
+    deep: bool,
+    /// Depth-extension NFL over level-1 nodes; built on first use, and
+    /// only for `deep` TreeLings.
     nfl_depth: Option<Nfl>,
     /// Hot-region NFL (Pro frontier-2 only).
     nfl_hot: Option<Nfl>,
+}
+
+impl TreeLingState {
+    /// The NFL serving `region`, building the depth NFL on first use.
+    /// `None` when this TreeLing has no such region.
+    fn region_nfl(
+        &mut self,
+        cfg: &ForestConfig,
+        treeling: TreeLingId,
+        region: NflRegion,
+    ) -> Option<&mut Nfl> {
+        match region {
+            NflRegion::Top => Some(&mut self.nfl),
+            NflRegion::Depth if self.deep => Some(
+                self.nfl_depth
+                    .get_or_insert_with(|| cfg.depth_nfl(treeling)),
+            ),
+            NflRegion::Depth => None,
+            NflRegion::Hot => self.nfl_hot.as_mut(),
+        }
+    }
 }
 
 /// Which of a TreeLing's NFL structures an operation touched.
@@ -156,6 +265,9 @@ pub struct MigrateOutcome {
     pub to: LeafSlot,
     /// NFL blocks touched.
     pub nfl_ops: Vec<TaggedNflOp>,
+    /// Pages displaced by a conversion on the way (a demotion into the
+    /// depth-extension region); their LMM entries must be invalidated.
+    pub remapped: Vec<PageNum>,
 }
 
 /// Errors from unmap operations.
@@ -215,13 +327,6 @@ impl ForestStats {
     }
 }
 
-/// Mapping record for one page: where it is verified and who owns it.
-#[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    slot: LeafSlot,
-    domain: DomainId,
-}
-
 /// The TreeLing forest.
 #[derive(Debug)]
 pub struct Forest {
@@ -235,19 +340,20 @@ pub struct Forest {
     // controller's ordered lists), so the layout swap cannot perturb
     // simulation results.
     treelings: TreeLingTable,
-    /// Authoritative page → (slot, owner) map (the LMM contents). One map
-    /// instead of parallel slot/owner maps: a page alloc or free touches a
-    /// multi-MiB table once, not twice, which matters because the footprint
-    /// ramp of a large mix performs hundreds of thousands of them.
-    pages: FxHashMap<PageNum, PageEntry>,
-    mapped_per_domain: FxHashMap<DomainId, u64>,
+    /// Authoritative page → (slot, owner) table (the LMM contents), laid
+    /// out like the extended PTE: a page alloc, free or lookup is one
+    /// probe into a dense leaf, with no hashing.
+    pages: PageTable<PageEntry>,
+    /// Mapped pages per domain, indexed by [`DomainId::index`].
+    mapped_per_domain: Vec<u64>,
     stats: ForestStats,
     /// Recycled NFL-op buffers: outcome `Vec`s handed back through
     /// [`recycle_ops`](Forest::recycle_ops) are reused by later operations,
     /// so the steady-state map/unmap/migrate path stops allocating.
     spare_ops: Vec<Vec<TaggedNflOp>>,
-    /// Reusable owned-TreeLing scratch for the allocation loops.
-    tid_scratch: Vec<TreeLingId>,
+    /// Buffer the NFLs push their touched blocks into before the forest
+    /// tags them with TreeLing and region.
+    nfl_scratch: Vec<NflOp>,
 }
 
 /// Dense TreeLing-state storage, keyed by [`TreeLingId`]. Mimics the map
@@ -255,7 +361,10 @@ pub struct Forest {
 /// the call sites read identically to the hash-map era.
 #[derive(Debug, Default)]
 struct TreeLingTable {
-    slots: Vec<Option<TreeLingState>>,
+    /// Boxed so the table costs one pointer per provisioned TreeLing:
+    /// building a system writes 32 KiB here for 4096 TreeLings, not a full
+    /// state record per TreeLing.
+    slots: Vec<Option<Box<TreeLingState>>>,
 }
 
 impl TreeLingTable {
@@ -266,11 +375,13 @@ impl TreeLingTable {
     }
 
     fn get(&self, t: &TreeLingId) -> Option<&TreeLingState> {
-        self.slots.get(t.0 as usize).and_then(Option::as_ref)
+        self.slots.get(t.0 as usize).and_then(Option::as_deref)
     }
 
     fn get_mut(&mut self, t: &TreeLingId) -> Option<&mut TreeLingState> {
-        self.slots.get_mut(t.0 as usize).and_then(Option::as_mut)
+        self.slots
+            .get_mut(t.0 as usize)
+            .and_then(Option::as_deref_mut)
     }
 
     fn insert(&mut self, t: TreeLingId, state: TreeLingState) {
@@ -278,10 +389,10 @@ impl TreeLingTable {
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
-        self.slots[i] = Some(state);
+        self.slots[i] = Some(Box::new(state));
     }
 
-    fn remove(&mut self, t: &TreeLingId) -> Option<TreeLingState> {
+    fn remove(&mut self, t: &TreeLingId) -> Option<Box<TreeLingState>> {
         self.slots.get_mut(t.0 as usize).and_then(Option::take)
     }
 }
@@ -300,14 +411,14 @@ impl Forest {
             controller: DomainController::new(cfg.treeling_count),
             treelings: TreeLingTable::with_capacity(cfg.treeling_count),
             cfg,
-            pages: FxHashMap::default(),
-            mapped_per_domain: FxHashMap::default(),
+            pages: PageTable::new(),
+            mapped_per_domain: Vec::new(),
             stats: ForestStats {
                 util_min: 1.0,
                 ..ForestStats::default()
             },
             spare_ops: Vec::new(),
-            tid_scratch: Vec::new(),
+            nfl_scratch: Vec::new(),
         }
     }
 
@@ -354,8 +465,9 @@ impl Forest {
     }
 
     /// The slot currently verifying `page`.
+    #[inline]
     pub fn slot_of(&self, page: PageNum) -> Option<LeafSlot> {
-        self.pages.get(&page).map(|e| e.slot)
+        self.pages.get(page).map(|e| e.slot())
     }
 
     /// The level a page is mapped at (Invert shortens paths by raising it).
@@ -389,21 +501,6 @@ impl Forest {
     // Slot-state helpers
     // ------------------------------------------------------------------
 
-    fn nodes_per_treeling(&self) -> u64 {
-        self.cfg.geometry.nodes_per_treeling() as u64
-    }
-
-    fn node_key(&self, treeling: TreeLingId, node: TlNode) -> u64 {
-        treeling.0 as u64 * self.nodes_per_treeling() + self.cfg.geometry.node_offset(node) as u64
-    }
-
-    fn decode_key(&self, key: u64) -> (TreeLingId, TlNode) {
-        let npt = self.nodes_per_treeling();
-        let treeling = TreeLingId((key / npt) as u32);
-        let node = self.cfg.geometry.node_from_offset((key % npt) as u32);
-        (treeling, node)
-    }
-
     fn slot_idx(&self, node: TlNode, slot: u8) -> usize {
         self.cfg.geometry.node_offset(node) as usize * self.cfg.geometry.arity as usize
             + slot as usize
@@ -414,7 +511,7 @@ impl Forest {
         // cross-TreeLing NFL availability; report such slots as structural
         // (non-Free) so allocation skips them.
         match self.treelings.get(&s.treeling) {
-            Some(state) => state.slots[self.slot_idx(s.node, s.slot)],
+            Some(state) => SlotContent::from_word(state.slots[self.slot_idx(s.node, s.slot)]),
             None => SlotContent::Parent,
         }
     }
@@ -423,6 +520,15 @@ impl Forest {
         if let Some(state) = self.treelings.get_mut(&treeling) {
             state.mapped = state.mapped.saturating_add_signed(delta);
         }
+    }
+
+    /// The mapped-page counter of `domain`, grown on first use.
+    fn domain_mapped(&mut self, domain: DomainId) -> &mut u64 {
+        let di = domain.index();
+        if di >= self.mapped_per_domain.len() {
+            self.mapped_per_domain.resize(di + 1, 0);
+        }
+        &mut self.mapped_per_domain[di]
     }
 
     /// Detaches `treeling` back to the unassigned FIFO if it no longer maps
@@ -454,7 +560,7 @@ impl Forest {
         self.treelings
             .get_mut(&s.treeling)
             .expect("treeling active")
-            .slots[idx] = content;
+            .slots[idx] = content.word();
     }
 
     fn in_hot_region(&self, node: TlNode) -> bool {
@@ -465,8 +571,7 @@ impl Forest {
         if g.levels < 4 || node.level != 3 {
             return false;
         }
-        let reserved = self.cfg.hot_top_nodes * g.arity.pow(g.levels - 1 - 3);
-        node.index < reserved
+        node.index < self.cfg.hot_nodes_at(3)
     }
 
     // ------------------------------------------------------------------
@@ -488,62 +593,6 @@ impl Forest {
         }
     }
 
-    /// NFL node order for the regular region of a fresh TreeLing.
-    fn regular_node_order(&self, treeling: TreeLingId, frontier: u32) -> Vec<u64> {
-        let g = self.cfg.geometry;
-        let mut keys = Vec::new();
-        match self.cfg.variant {
-            IvVariant::Basic => {
-                for i in 0..g.nodes_at_level(1) {
-                    keys.push(self.node_key(treeling, TlNode { level: 1, index: i }));
-                }
-            }
-            IvVariant::Invert | IvVariant::Pro => {
-                // Frontier-level slots; parents above are static. Pro skips
-                // the reserved hot-region prefix on frontier-2 TreeLings
-                // (§VII-B). Filling is reversed so depth extension converts
-                // the coldest (last-filled) slots first.
-                let level = frontier;
-                let reserved =
-                    if self.cfg.variant == IvVariant::Pro && level == 2 && level < g.levels {
-                        self.cfg.hot_top_nodes * g.arity.pow(g.levels - 1 - level)
-                    } else {
-                        0
-                    };
-                for i in (reserved..g.nodes_at_level(level)).rev() {
-                    keys.push(self.node_key(treeling, TlNode { level, index: i }));
-                }
-            }
-        }
-        keys
-    }
-
-    /// NFL node order for the hot region (Pro): the reserved level-3 nodes
-    /// — one level above the regular frontier, under static parents, so a
-    /// hotpage's verification path is one hop shorter and its node blocks
-    /// are few enough to stay cached. The level below the reserved subtree
-    /// is discarded (§VII-B: the hot region drops its last level).
-    fn hot_node_order(&self, treeling: TreeLingId) -> Vec<u64> {
-        let g = self.cfg.geometry;
-        if g.levels < 4 {
-            return Vec::new();
-        }
-        let reserved = self.cfg.hot_top_nodes * g.arity.pow(g.levels - 1 - 3);
-        (0..reserved.min(g.nodes_at_level(3)))
-            .map(|i| self.node_key(treeling, TlNode { level: 3, index: i }))
-            .collect()
-    }
-
-    /// Depth-extension NFL node order: level-1 leaves in forward order —
-    /// the level-2 frontier fills in reverse, so forward extension converts
-    /// its coldest (lowest-index, last-filled) slots first.
-    fn depth_node_order(&self, treeling: TreeLingId) -> Vec<u64> {
-        let g = self.cfg.geometry;
-        (0..g.nodes_at_level(1))
-            .map(|i| self.node_key(treeling, TlNode { level: 1, index: i }))
-            .collect()
-    }
-
     /// TreeLings kept in reserve before depth extension starts: Invert/Pro
     /// prefer breadth (new TreeLings, short paths) while supply lasts and
     /// extend into the leaf level only under scarcity — the paper's
@@ -553,57 +602,68 @@ impl Forest {
     }
 
     fn init_treeling(&mut self, treeling: TreeLingId, owner: DomainId) {
-        let g = self.cfg.geometry;
+        let cfg = self.cfg;
+        let g = cfg.geometry;
         let arity = g.arity as usize;
         // `assign` ran before `init_treeling`, so the ordinal of this
         // TreeLing within the domain is len - 1.
         let nth = self.controller.treelings_of(owner).len().saturating_sub(1);
         let frontier = self.frontier_for(nth);
-        let mut slots = vec![SlotContent::Free; g.nodes_per_treeling() as usize * arity];
-        // Static parent structure above the mapping frontier; the frontier
-        // → frontier-1 boundary uses dynamic conversion (depth extension).
-        for level in (frontier + 1)..=g.levels {
-            for index in 0..g.nodes_at_level(level) {
-                let node = TlNode { level, index };
-                let base = g.node_offset(node) as usize * arity;
-                for s in 0..arity {
-                    slots[base + s] = SlotContent::Parent;
-                }
-            }
-        }
-        let order = self.regular_node_order(treeling, frontier);
-        let top_capacity = order.len() as u64 * g.arity as u64;
-        let nfl = Nfl::new(order, g.arity as u8, self.cfg.nfl_entries_per_block);
-        let deep = self.cfg.variant != IvVariant::Basic && frontier == 2 && g.levels >= 2;
-        let nfl_depth = if deep {
-            Some(Nfl::new(
-                self.depth_node_order(treeling),
-                g.arity as u8,
-                self.cfg.nfl_entries_per_block,
-            ))
+        let hot = cfg.has_hot_region(frontier);
+        // Zeroed words are Free. Root-first layout puts every level above
+        // the frontier in one prefix: the static parent structure (the
+        // frontier → frontier-1 boundary uses dynamic conversion, i.e.
+        // depth extension).
+        let mut slots = vec![FREE; g.nodes_per_treeling() as usize * arity];
+        let frontier_start = g.node_offset(TlNode {
+            level: frontier,
+            index: 0,
+        }) as usize;
+        slots[..frontier_start * arity].fill(PARENT);
+
+        // Regular region: the frontier level (the leaves under Basic),
+        // under static parents. Pro skips the reserved hot-region prefix on
+        // frontier-2 TreeLings (§VII-B). Invert/Pro fill in reverse so
+        // depth extension converts the coldest (last-filled) slots first.
+        let level = frontier;
+        let first = if cfg.variant == IvVariant::Pro && frontier == 2 && 2 < g.levels {
+            cfg.hot_nodes_at(2)
         } else {
-            None
+            0
         };
-        let nfl_hot = if self.cfg.variant == IvVariant::Pro && frontier == 2 && g.levels >= 4 {
-            let order = self.hot_node_order(treeling);
-            // The reserved level-3 nodes hold hotpage hashes, not child
-            // pointers: their slots start Free (their own hashes chain into
-            // the static level-4 parents above).
-            for &key in &order {
-                let (_, node) = self.decode_key(key);
-                let base = g.node_offset(node) as usize * arity;
-                for s in 0..arity {
-                    slots[base + s] = SlotContent::Free;
-                }
-            }
-            Some(Nfl::new(
-                order,
+        let count = g.nodes_at_level(level) - first;
+        let reversed = cfg.variant != IvVariant::Basic;
+        let nfl = Nfl::new(
+            (0..count).map(|k| {
+                let index = if reversed {
+                    first + count - 1 - k
+                } else {
+                    first + k
+                };
+                cfg.node_key(treeling, TlNode { level, index })
+            }),
+            g.arity as u8,
+            cfg.nfl_entries_per_block,
+        );
+
+        // Hot region (Pro): the reserved level-3 nodes — one level above
+        // the regular frontier, under static parents, so a hotpage's
+        // verification path is one hop shorter and its node blocks are few
+        // enough to stay cached. They hold hotpage hashes, not child
+        // pointers, so their slots start Free (their own hashes chain into
+        // the static level-4 parents above). The level below the reserved
+        // subtree is discarded (§VII-B: the hot region drops its last
+        // level).
+        let nfl_hot = hot.then(|| {
+            let reserved = cfg.hot_nodes_at(3).min(g.nodes_at_level(3));
+            let start = g.node_offset(TlNode { level: 3, index: 0 }) as usize;
+            slots[start * arity..(start + reserved as usize) * arity].fill(FREE);
+            Nfl::new(
+                (0..reserved).map(|index| cfg.node_key(treeling, TlNode { level: 3, index })),
                 g.arity as u8,
-                self.cfg.nfl_entries_per_block,
-            ))
-        } else {
-            None
-        };
+                cfg.nfl_entries_per_block,
+            )
+        });
         self.treelings.insert(
             treeling,
             TreeLingState {
@@ -612,8 +672,9 @@ impl Forest {
                 nfl,
                 mapped: 0,
                 frontier,
-                top_capacity,
-                nfl_depth,
+                top_capacity: count as u64 * g.arity as u64,
+                deep: cfg.variant != IvVariant::Basic && frontier == 2 && g.levels >= 2,
+                nfl_depth: None,
                 nfl_hot,
             },
         );
@@ -647,75 +708,43 @@ impl Forest {
     // Mapping
     // ------------------------------------------------------------------
 
-    /// Allocates a Free slot from the primary (top) NFLs of `domain`'s
-    /// TreeLings, skipping stale availability (slots consumed structurally
-    /// by conversions).
-    fn alloc_top(&mut self, domain: DomainId, ops: &mut Vec<TaggedNflOp>) -> Option<LeafSlot> {
-        let mut owned = std::mem::take(&mut self.tid_scratch);
-        owned.clear();
-        owned.extend_from_slice(self.controller.treelings_of(domain));
-        let mut found = None;
-        'outer: for &tid in owned.iter().rev() {
-            while let Some(alloc) = self.treelings.get_mut(&tid).and_then(|t| t.nfl.alloc()) {
-                for op in &alloc.ops {
-                    ops.push(TaggedNflOp {
-                        treeling: tid,
-                        op: *op,
-                        region: NflRegion::Top,
-                    });
-                }
-                let (owner_tl, node) = self.decode_key(alloc.tag);
+    /// Allocates a Free slot from one NFL region of `domain`'s TreeLings,
+    /// newest TreeLing first, skipping stale availability (slots consumed
+    /// structurally by conversions, or inside a recycled TreeLing).
+    fn alloc_in(
+        &mut self,
+        domain: DomainId,
+        region: NflRegion,
+        ops: &mut Vec<TaggedNflOp>,
+    ) -> Option<LeafSlot> {
+        // Indexed, not iterated: the owned list cannot change inside this
+        // loop, and indexing leaves `self` free for the NFL borrows.
+        for i in (0..self.controller.treelings_of(domain).len()).rev() {
+            let tid = self.controller.treelings_of(domain)[i];
+            while let Some(alloc) = self
+                .treelings
+                .get_mut(&tid)
+                .and_then(|t| t.region_nfl(&self.cfg, tid, region))
+                .and_then(|nfl| nfl.alloc(&mut self.nfl_scratch))
+            {
+                ops.extend(self.nfl_scratch.drain(..).map(|op| TaggedNflOp {
+                    treeling: tid,
+                    op,
+                    region,
+                }));
+                let (owner_tl, node) = self.cfg.decode_key(alloc.tag);
                 let slot = LeafSlot {
                     treeling: owner_tl,
                     node,
                     slot: alloc.slot,
                 };
                 if self.slot_state(slot) == SlotContent::Free {
-                    found = Some(slot);
-                    break 'outer;
+                    return Some(slot);
                 }
                 // Stale availability (converted to Parent meanwhile): retry.
             }
         }
-        self.tid_scratch = owned;
-        found
-    }
-
-    /// Allocates from the depth-extension NFLs (level-1 leaves), Invert/Pro
-    /// under TreeLing scarcity.
-    fn alloc_depth(&mut self, domain: DomainId, ops: &mut Vec<TaggedNflOp>) -> Option<LeafSlot> {
-        let mut owned = std::mem::take(&mut self.tid_scratch);
-        owned.clear();
-        owned.extend_from_slice(self.controller.treelings_of(domain));
-        let mut found = None;
-        'outer: for &tid in owned.iter().rev() {
-            while let Some(alloc) = self
-                .treelings
-                .get_mut(&tid)
-                .and_then(|t| t.nfl_depth.as_mut())
-                .and_then(Nfl::alloc)
-            {
-                for op in &alloc.ops {
-                    ops.push(TaggedNflOp {
-                        treeling: tid,
-                        op: *op,
-                        region: NflRegion::Depth,
-                    });
-                }
-                let (owner_tl, node) = self.decode_key(alloc.tag);
-                let slot = LeafSlot {
-                    treeling: owner_tl,
-                    node,
-                    slot: alloc.slot,
-                };
-                if self.slot_state(slot) == SlotContent::Free {
-                    found = Some(slot);
-                    break 'outer;
-                }
-            }
-        }
-        self.tid_scratch = owned;
-        found
+        None
     }
 
     /// The variant's allocation policy: Basic uses its (leaf) top NFL and
@@ -723,13 +752,13 @@ impl Forest {
     /// breadth-first across TreeLings, extending into the leaves only when
     /// the unassigned-TreeLing FIFO runs low.
     fn alloc_regular(&mut self, domain: DomainId, ops: &mut Vec<TaggedNflOp>) -> Option<LeafSlot> {
-        if let Some(slot) = self.alloc_top(domain, ops) {
+        if let Some(slot) = self.alloc_in(domain, NflRegion::Top, ops) {
             return Some(slot);
         }
         if self.cfg.variant != IvVariant::Basic
             && self.controller.unassigned() <= self.depth_reserve()
         {
-            if let Some(slot) = self.alloc_depth(domain, ops) {
+            if let Some(slot) = self.alloc_in(domain, NflRegion::Depth, ops) {
                 return Some(slot);
             }
         }
@@ -745,7 +774,7 @@ impl Forest {
         if self.cfg.variant == IvVariant::Basic {
             return None;
         }
-        self.alloc_depth(domain, ops)
+        self.alloc_in(domain, NflRegion::Depth, ops)
     }
 
     /// Establishes the parent chain for `slot`'s node (Invert/Pro). May
@@ -770,15 +799,39 @@ impl Forest {
                     // Figure 12: the occupying page's hash moves down into
                     // the newly opened child; the slot becomes a parent.
                     self.set_slot_state(pslot, SlotContent::Parent);
-                    let e = self.pages.remove(&q).expect("displaced page is mapped");
+                    let e = self.pages.remove(q).expect("displaced page is mapped");
                     self.bump_mapped(pslot.treeling, -1);
-                    displaced.push((q, e.domain));
+                    displaced.push((q, e.domain()));
                     self.stats.conversions += 1;
                 }
             }
             node = parent;
         }
         displaced
+    }
+
+    /// Opens `slot`'s parent chain (Invert/Pro) and re-maps the pages the
+    /// conversion displaced. Each displaced page takes the next free slot —
+    /// in Figure 12 that is precisely the first slot of the newly opened
+    /// child node.
+    fn open_parent_chain(
+        &mut self,
+        domain: DomainId,
+        slot: LeafSlot,
+        ops: &mut Vec<TaggedNflOp>,
+        remapped: &mut Vec<PageNum>,
+    ) {
+        for (q, qdomain) in self.ensure_parent_chain(slot) {
+            let qslot = self
+                .alloc_regular(domain, ops)
+                .expect("opened child provides slots for displaced pages");
+            let more = self.ensure_parent_chain(qslot);
+            debug_assert!(more.is_empty(), "displacement must not cascade");
+            self.set_slot_state(qslot, SlotContent::Page(q));
+            self.pages.insert(q, PageEntry::new(qslot, qdomain));
+            self.bump_mapped(qslot.treeling, 1);
+            remapped.push(q);
+        }
     }
 
     /// Maps `page` into `domain`'s TreeLings.
@@ -790,13 +843,16 @@ impl Forest {
     ///
     /// # Panics
     ///
-    /// Panics if the page is already mapped (callers track allocation).
+    /// Panics if the page is already mapped (callers track allocation), or
+    /// if it lies at or above [`MAX_PAGES`].
     pub fn map_page(
         &mut self,
         domain: DomainId,
         page: PageNum,
     ) -> Result<MapOutcome, StarvationError> {
-        assert!(!self.pages.contains_key(&page), "page {page} double-mapped");
+        // Checked before any state changes; the double-map check rides on
+        // the single table probe that inserts the mapping below.
+        let word = SlotContent::Page(page).word();
         let mut ops = self.take_ops();
         let mut new_treeling = false;
 
@@ -825,33 +881,18 @@ impl Forest {
         let conversions_before = self.stats.conversions;
         let mut remapped = Vec::new();
         if self.cfg.variant != IvVariant::Basic {
-            let displaced = self.ensure_parent_chain(slot);
-            // Re-map displaced pages. Each displaced page takes the next
-            // free slot — in Figure 12 that is precisely the first slot of
-            // the newly opened child node.
-            for (q, qdomain) in displaced {
-                let qslot = self
-                    .alloc_regular(domain, &mut ops)
-                    .expect("opened child provides slots for displaced pages");
-                let more = self.ensure_parent_chain(qslot);
-                debug_assert!(more.is_empty(), "displacement must not cascade");
-                self.set_slot_state(qslot, SlotContent::Page(q));
-                self.pages.insert(
-                    q,
-                    PageEntry {
-                        slot: qslot,
-                        domain: qdomain,
-                    },
-                );
-                self.bump_mapped(qslot.treeling, 1);
-                remapped.push(q);
-            }
+            self.open_parent_chain(domain, slot, &mut ops, &mut remapped);
         }
 
-        self.set_slot_state(slot, SlotContent::Page(page));
-        self.pages.insert(page, PageEntry { slot, domain });
+        let idx = self.slot_idx(slot.node, slot.slot);
+        self.treelings
+            .get_mut(&slot.treeling)
+            .expect("treeling active")
+            .slots[idx] = word;
+        let prev = self.pages.insert(page, PageEntry::new(slot, domain));
+        assert!(prev.is_none(), "page {page} double-mapped");
         self.bump_mapped(slot.treeling, 1);
-        *self.mapped_per_domain.entry(domain).or_insert(0) += 1;
+        *self.domain_mapped(domain) += 1;
 
         Ok(MapOutcome {
             slot,
@@ -872,16 +913,13 @@ impl Forest {
         domain: DomainId,
         page: PageNum,
     ) -> Result<UnmapOutcome, ForestError> {
-        let e = self
-            .pages
-            .remove(&page)
-            .ok_or(ForestError::NotMapped(page))?;
-        if e.domain != domain {
-            self.pages.insert(page, e);
+        let e = *self.pages.get(page).ok_or(ForestError::NotMapped(page))?;
+        if e.domain() != domain {
             return Err(ForestError::WrongDomain(page));
         }
-        let slot = e.slot;
-        *self.mapped_per_domain.entry(domain).or_insert(1) -= 1;
+        self.pages.remove(page);
+        let slot = e.slot();
+        *self.domain_mapped(domain) -= 1;
         self.set_slot_state(slot, SlotContent::Free);
         self.bump_mapped(slot.treeling, -1);
 
@@ -911,7 +949,7 @@ impl Forest {
         slot: LeafSlot,
         ops: &mut Vec<TaggedNflOp>,
     ) -> bool {
-        let key = self.node_key(slot.treeling, slot.node);
+        let key = self.cfg.node_key(slot.treeling, slot.node);
         let depth_slot = slot.node.level == 1 && self.cfg.variant != IvVariant::Basic;
         // Frontier slots freed on high-frontier TreeLings route to their
         // own primary NFLs via the cross-TreeLing tag machinery below.
@@ -926,58 +964,46 @@ impl Forest {
         ];
         for tid in candidates.into_iter().flatten() {
             let state = self.treelings.get_mut(&tid).expect("owned treeling active");
-            let (nfl, region) = if depth_slot {
-                match state.nfl_depth.as_mut() {
-                    Some(n) => (n, NflRegion::Depth),
-                    None => (&mut state.nfl, NflRegion::Top),
-                }
+            // A depth slot goes back to a deep TreeLing's depth NFL (built
+            // here if no allocation has needed it yet).
+            let region = if depth_slot && state.deep {
+                NflRegion::Depth
             } else {
-                (&mut state.nfl, NflRegion::Top)
+                NflRegion::Top
             };
-            match nfl.free(key, slot.slot) {
-                FreeOutcome::Tracked(o) => {
-                    for op in o {
-                        ops.push(TaggedNflOp {
-                            treeling: tid,
-                            op,
-                            region,
-                        });
-                    }
-                    return false;
-                }
-                FreeOutcome::Fallback(o) => {
-                    for op in o {
-                        ops.push(TaggedNflOp {
-                            treeling: tid,
-                            op,
-                            region,
-                        });
-                    }
-                }
+            let nfl = state
+                .region_nfl(&self.cfg, tid, region)
+                .expect("deep TreeLings have a depth NFL");
+            let out = nfl.free(key, slot.slot, &mut self.nfl_scratch);
+            ops.extend(self.nfl_scratch.drain(..).map(|op| TaggedNflOp {
+                treeling: tid,
+                op,
+                region,
+            }));
+            if out == FreeOutcome::Tracked {
+                return false;
             }
         }
         true
     }
 
     fn free_hot_slot(&mut self, slot: LeafSlot, ops: &mut Vec<TaggedNflOp>) -> bool {
-        let key = self.node_key(slot.treeling, slot.node);
+        let key = self.cfg.node_key(slot.treeling, slot.node);
         let st = self
             .treelings
             .get_mut(&slot.treeling)
             .expect("treeling active");
         match st.nfl_hot.as_mut() {
-            Some(nfl) => match nfl.free(key, slot.slot) {
-                FreeOutcome::Tracked(o) | FreeOutcome::Fallback(o) => {
-                    for op in o {
-                        ops.push(TaggedNflOp {
-                            treeling: slot.treeling,
-                            op,
-                            region: NflRegion::Hot,
-                        });
-                    }
-                    false
-                }
-            },
+            Some(nfl) => {
+                // A hot free never counts as untracked, even on fallback.
+                nfl.free(key, slot.slot, &mut self.nfl_scratch);
+                ops.extend(self.nfl_scratch.drain(..).map(|op| TaggedNflOp {
+                    treeling: slot.treeling,
+                    op,
+                    region: NflRegion::Hot,
+                }));
+                false
+            }
             None => true,
         }
     }
@@ -992,44 +1018,13 @@ impl Forest {
         if self.cfg.variant != IvVariant::Pro {
             return None;
         }
-        let e = *self.pages.get(&page)?;
-        let from = e.slot;
-        if e.domain != domain || self.in_hot_region(from.node) {
+        let e = *self.pages.get(page)?;
+        let from = e.slot();
+        if e.domain() != domain || self.in_hot_region(from.node) {
             return None;
         }
         let mut ops = self.take_ops();
-        let mut owned = std::mem::take(&mut self.tid_scratch);
-        owned.clear();
-        owned.extend_from_slice(self.controller.treelings_of(domain));
-        let mut to = None;
-        'outer: for &tid in owned.iter().rev() {
-            while let Some(alloc) = self
-                .treelings
-                .get_mut(&tid)
-                .and_then(|t| t.nfl_hot.as_mut())
-                .and_then(|n| n.alloc())
-            {
-                for op in &alloc.ops {
-                    ops.push(TaggedNflOp {
-                        treeling: tid,
-                        op: *op,
-                        region: NflRegion::Hot,
-                    });
-                }
-                let (owner_tl, node) = self.decode_key(alloc.tag);
-                let cand = LeafSlot {
-                    treeling: owner_tl,
-                    node,
-                    slot: alloc.slot,
-                };
-                if self.slot_state(cand) == SlotContent::Free {
-                    to = Some(cand);
-                    break 'outer;
-                }
-            }
-        }
-        self.tid_scratch = owned;
-        let Some(to) = to else {
+        let Some(to) = self.alloc_in(domain, NflRegion::Hot, &mut ops) else {
             self.recycle_ops(ops);
             return None;
         };
@@ -1046,21 +1041,25 @@ impl Forest {
             self.stats.untracked_slots += 1;
         }
         self.set_slot_state(to, SlotContent::Page(page));
-        self.pages.get_mut(&page).expect("page stays mapped").slot = to;
+        self.pages
+            .get_mut(page)
+            .expect("page stays mapped")
+            .set_slot(to);
         self.bump_mapped(to.treeling, 1);
         self.stats.promotions += 1;
         Some(MigrateOutcome {
             from,
             to,
             nfl_ops: ops,
+            remapped: Vec::new(),
         })
     }
 
     /// Migrates `page` back to the regular region (demotion).
     pub fn demote_page(&mut self, domain: DomainId, page: PageNum) -> Option<MigrateOutcome> {
-        let e = *self.pages.get(&page)?;
-        let from = e.slot;
-        if e.domain != domain || !self.in_hot_region(from.node) {
+        let e = *self.pages.get(page)?;
+        let from = e.slot();
+        if e.domain() != domain || !self.in_hot_region(from.node) {
             return None;
         }
         let mut ops = self.take_ops();
@@ -1068,12 +1067,13 @@ impl Forest {
             self.recycle_ops(ops);
             return None;
         };
-        let displaced = if self.cfg.variant != IvVariant::Basic {
-            self.ensure_parent_chain(to)
-        } else {
-            Vec::new()
-        };
-        debug_assert!(displaced.is_empty(), "demotion into already-open levels");
+        // Under TreeLing scarcity the regular region extends into the
+        // leaves, so a demotion can convert an occupied frontier slot like
+        // any allocation; the displaced pages move down with it.
+        let mut remapped = Vec::new();
+        if self.cfg.variant != IvVariant::Basic {
+            self.open_parent_chain(domain, to, &mut ops, &mut remapped);
+        }
         self.set_slot_state(from, SlotContent::Free);
         self.bump_mapped(from.treeling, -1);
         let untracked = self.free_hot_slot(from, &mut ops);
@@ -1081,13 +1081,17 @@ impl Forest {
             self.stats.untracked_slots += 1;
         }
         self.set_slot_state(to, SlotContent::Page(page));
-        self.pages.get_mut(&page).expect("page stays mapped").slot = to;
+        self.pages
+            .get_mut(page)
+            .expect("page stays mapped")
+            .set_slot(to);
         self.bump_mapped(to.treeling, 1);
         self.stats.demotions += 1;
         Some(MigrateOutcome {
             from,
             to,
             nfl_ops: ops,
+            remapped,
         })
     }
 
@@ -1097,17 +1101,62 @@ impl Forest {
 
     /// Destroys a domain: unmaps its pages and recycles its TreeLings.
     pub fn destroy_domain(&mut self, domain: DomainId) {
-        self.pages.retain(|_, e| e.domain != domain);
-        for tid in self.controller.treelings_of(domain).to_vec() {
+        self.pages.retain(|_, e| e.domain() != domain);
+        for i in 0..self.controller.treelings_of(domain).len() {
+            let tid = self.controller.treelings_of(domain)[i];
             self.treelings.remove(&tid);
         }
-        self.mapped_per_domain.remove(&domain);
+        if let Some(n) = self.mapped_per_domain.get_mut(domain.index()) {
+            *n = 0;
+        }
         self.controller.destroy(domain);
     }
 
     /// Pages currently mapped for `domain`.
     pub fn mapped_pages(&self, domain: DomainId) -> u64 {
-        self.mapped_per_domain.get(&domain).copied().unwrap_or(0)
+        self.mapped_per_domain
+            .get(domain.index())
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Mapping-state consistency check: every mapped page's slot holds
+    /// exactly that page, every page-holding slot is mapped back to it, and
+    /// each TreeLing's and domain's mapped count matches. Tests call it
+    /// after stress runs; it walks every active slot.
+    pub fn mapping_consistent(&self) -> bool {
+        let mut per_treeling = vec![0u64; self.cfg.treeling_count as usize];
+        let mut per_domain = vec![0u64; self.mapped_per_domain.len()];
+        for (page, e) in self.pages.iter() {
+            if self.slot_state(e.slot()) != SlotContent::Page(page) {
+                return false;
+            }
+            per_treeling[e.slot().treeling.0 as usize] += 1;
+            match per_domain.get_mut(e.domain().index()) {
+                Some(n) => *n += 1,
+                None => return false,
+            }
+        }
+        let arity = self.cfg.geometry.arity as usize;
+        for (t, state) in self.treelings.slots.iter().enumerate() {
+            let Some(state) = state else { continue };
+            if state.mapped != per_treeling[t] {
+                return false;
+            }
+            for (i, &w) in state.slots.iter().enumerate() {
+                if let SlotContent::Page(q) = SlotContent::from_word(w) {
+                    let slot = LeafSlot {
+                        treeling: TreeLingId(t as u32),
+                        node: self.cfg.geometry.node_from_offset((i / arity) as u32),
+                        slot: (i % arity) as u8,
+                    };
+                    if self.slot_of(q) != Some(slot) {
+                        return false;
+                    }
+                }
+            }
+        }
+        per_domain == self.mapped_per_domain
     }
 
     /// Cross-domain isolation check: no in-memory tree node appears in the
@@ -1116,8 +1165,8 @@ impl Forest {
     pub fn verify_isolation(&self) -> bool {
         let mut node_owner: FxHashMap<(TreeLingId, TlNode), DomainId> = FxHashMap::default();
         for (page, e) in self.pages.iter() {
-            let domain = e.domain;
-            if let Some(path) = self.verification_path(*page) {
+            let domain = e.domain();
+            if let Some(path) = self.verification_path(page) {
                 for node in path {
                     match node_owner.get(&node) {
                         Some(d) if *d != domain => return false,

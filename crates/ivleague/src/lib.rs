@@ -16,7 +16,8 @@
 //!   O(1) (§VI-C1, Figures 7–8), with its in-memory byte layout in
 //!   [`nfl_encoding`];
 //! * [`lmm`] — Leaf Mapping Metadata embedded in the page table plus its
-//!   on-chip cache (§VI-C2, Figure 9);
+//!   on-chip cache (§VI-C2, Figure 9), with the page table itself in
+//!   [`pagemap`];
 //! * [`domains`] — the IV Domain Controller: assignment table and
 //!   unassigned-TreeLing FIFO (§VI-D1);
 //! * [`forest`] — the functional TreeLing forest: slot states, page
@@ -52,6 +53,7 @@ pub mod geometry;
 pub mod lmm;
 pub mod nfl;
 pub mod nfl_encoding;
+pub mod pagemap;
 pub mod scheme;
 pub mod tracker;
 pub mod verify;

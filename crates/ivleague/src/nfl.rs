@@ -39,96 +39,54 @@ struct Entry {
     avail: u8,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Block {
-    entries: Vec<Entry>,
-    /// Occupancy mask: bit `i` set ⇔ `entries[i].avail != 0`. Maintained on
-    /// every `avail` mutation so both scans the state machine performs —
-    /// "first entry with availability" (allocation) and "first fully-
-    /// assigned entry" (replacement on free) — collapse to one
-    /// `trailing_zeros` instead of a linear walk.
-    avail_bits: u64,
-}
-
-impl Block {
-    fn new(entries: Vec<Entry>) -> Self {
-        let mut avail_bits = 0u64;
-        for (i, e) in entries.iter().enumerate() {
-            if e.avail != 0 {
-                avail_bits |= 1 << i;
-            }
-        }
-        Block {
-            entries,
-            avail_bits,
-        }
-    }
-
-    fn fully_mapped(&self) -> bool {
-        self.avail_bits == 0
-    }
-
-    /// Index of the first entry with available slots (the allocation scan).
-    fn first_available(&self) -> Option<usize> {
-        if self.avail_bits == 0 {
-            None
-        } else {
-            Some(self.avail_bits.trailing_zeros() as usize)
-        }
-    }
-
-    /// Index of the first fully-assigned entry (the replacement scan).
-    fn first_fully_assigned(&self) -> Option<usize> {
-        let len_mask = if self.entries.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.entries.len()) - 1
-        };
-        let used = !self.avail_bits & len_mask;
-        if used == 0 {
-            None
-        } else {
-            Some(used.trailing_zeros() as usize)
-        }
-    }
-}
-
 /// Result of a deallocation attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreeOutcome {
-    /// The freed slot is tracked again; the touched blocks are reported.
-    Tracked(Vec<NflOp>),
+    /// The freed slot is tracked again.
+    Tracked,
     /// This NFL cannot absorb the slot (head at first block, nothing
     /// replaceable): the caller should try the domain's previous TreeLing.
-    Fallback(Vec<NflOp>),
+    Fallback,
 }
 
 /// A successful allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
     /// Tag of the node that received the mapping.
     pub tag: u64,
     /// Slot index within the node.
     pub slot: u8,
-    /// NFL blocks touched.
-    pub ops: Vec<NflOp>,
 }
 
 /// The per-TreeLing Node Free-List.
 ///
+/// Entries live in one flat vector, block `b` owning
+/// `entries[b * entries_per_block..]` (the last block may be short), and
+/// each block keeps one occupancy mask word. [`alloc`](Nfl::alloc) and
+/// [`free`](Nfl::free) report the blocks they touch by pushing into a
+/// buffer the caller owns, so neither ever allocates.
+///
 /// # Examples
 ///
 /// ```
-/// use ivleague::nfl::Nfl;
-/// let mut nfl = Nfl::new(vec![10, 11, 12, 13], 8, 2);
-/// let a = nfl.alloc().unwrap();
+/// use ivleague::nfl::{FreeOutcome, Nfl};
+/// let mut nfl = Nfl::new([10, 11, 12, 13], 8, 2);
+/// let mut ops = Vec::new();
+/// let a = nfl.alloc(&mut ops).unwrap();
 /// assert_eq!((a.tag, a.slot), (10, 0));
-/// assert!(matches!(nfl.free(10, 0), ivleague::nfl::FreeOutcome::Tracked(_)));
+/// assert_eq!(nfl.free(10, 0, &mut ops), FreeOutcome::Tracked);
+/// assert_eq!(ops.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nfl {
-    blocks: Vec<Block>,
-    slots_per_node: u8,
+    entries: Vec<Entry>,
+    /// Occupancy mask per block: bit `i` set ⇔ the block's entry `i` has
+    /// `avail != 0`. Maintained on every `avail` mutation so both scans
+    /// the state machine performs — "first entry with availability"
+    /// (allocation) and "first fully-assigned entry" (replacement on
+    /// free) — collapse to one `trailing_zeros` instead of a linear walk.
+    avail_bits: Vec<u64>,
+    entries_per_block: usize,
     head: usize,
     /// Free slots currently tracked (for utilization accounting).
     free_tracked: u64,
@@ -143,9 +101,12 @@ impl Nfl {
     /// # Panics
     ///
     /// Panics if `tags` is empty, `slots_per_node` is 0 or > 8, or
-    /// `entries_per_block` is 0.
-    pub fn new(tags: Vec<u64>, slots_per_node: u8, entries_per_block: usize) -> Self {
-        assert!(!tags.is_empty(), "NFL needs at least one node");
+    /// `entries_per_block` is 0 or > 64.
+    pub fn new(
+        tags: impl IntoIterator<Item = u64>,
+        slots_per_node: u8,
+        entries_per_block: usize,
+    ) -> Self {
         assert!(
             (1..=8).contains(&slots_per_node),
             "availability vector is 8 bits"
@@ -159,32 +120,47 @@ impl Nfl {
         } else {
             (1u8 << slots_per_node) - 1
         };
-        let free_tracked = tags.len() as u64 * slots_per_node as u64;
-        let blocks = tags
-            .chunks(entries_per_block)
-            .map(|chunk| {
-                Block::new(
-                    chunk
-                        .iter()
-                        .map(|&tag| Entry {
-                            tag,
-                            avail: full_mask,
-                        })
-                        .collect(),
-                )
+        let entries: Vec<Entry> = tags
+            .into_iter()
+            .map(|tag| Entry {
+                tag,
+                avail: full_mask,
+            })
+            .collect();
+        assert!(!entries.is_empty(), "NFL needs at least one node");
+        let blocks = entries.len().div_ceil(entries_per_block);
+        let avail_bits = (0..blocks)
+            .map(|b| {
+                let len = (entries.len() - b * entries_per_block).min(entries_per_block);
+                Self::len_mask(len)
             })
             .collect();
         Nfl {
-            blocks,
-            slots_per_node,
+            free_tracked: entries.len() as u64 * slots_per_node as u64,
+            entries,
+            avail_bits,
+            entries_per_block,
             head: 0,
-            free_tracked,
         }
+    }
+
+    /// Mask with one bit per entry of a block holding `len` entries.
+    fn len_mask(len: usize) -> u64 {
+        if len >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << len) - 1
+        }
+    }
+
+    /// Entry count of block `b`.
+    fn block_len(&self, b: usize) -> usize {
+        (self.entries.len() - b * self.entries_per_block).min(self.entries_per_block)
     }
 
     /// Number of NFL blocks.
     pub fn block_count(&self) -> u32 {
-        self.blocks.len() as u32
+        self.avail_bits.len() as u32
     }
 
     /// Current head block index.
@@ -199,23 +175,29 @@ impl Nfl {
 
     /// Whether no allocation can be served.
     pub fn is_exhausted(&self) -> bool {
-        self.head >= self.blocks.len()
-            || (self.head == self.blocks.len() - 1 && self.blocks[self.head].fully_mapped())
+        let blocks = self.avail_bits.len();
+        self.head >= blocks || (self.head == blocks - 1 && self.avail_bits[self.head] == 0)
     }
 
-    /// Allocates one slot. Returns `None` when the TreeLing is exhausted.
-    pub fn alloc(&mut self) -> Option<Allocation> {
-        let mut ops = Vec::with_capacity(2);
+    /// Allocates one slot, pushing the touched blocks onto `ops`. Returns
+    /// `None` when the TreeLing is exhausted, leaving `ops` as it was: a
+    /// failed allocation is not charged.
+    pub fn alloc(&mut self, ops: &mut Vec<NflOp>) -> Option<Allocation> {
+        let pushed = ops.len();
         loop {
             let head = self.head;
-            let block = self.blocks.get_mut(head)?;
-            if let Some(ei) = block.first_available() {
-                let entry = &mut block.entries[ei];
+            let Some(&bits) = self.avail_bits.get(head) else {
+                ops.truncate(pushed);
+                return None;
+            };
+            if bits != 0 {
+                let ei = bits.trailing_zeros() as usize;
+                let entry = &mut self.entries[head * self.entries_per_block + ei];
                 let slot = entry.avail.trailing_zeros() as u8;
                 entry.avail &= !(1 << slot);
                 let tag = entry.tag;
                 if entry.avail == 0 {
-                    block.avail_bits &= !(1 << ei);
+                    self.avail_bits[head] &= !(1 << ei);
                 }
                 ops.push(NflOp {
                     block: head as u32,
@@ -224,10 +206,10 @@ impl Nfl {
                 self.free_tracked -= 1;
                 // Advance eagerly when the block just became full so the
                 // invariant (blocks before head fully mapped) holds.
-                if self.blocks[head].fully_mapped() {
+                if self.avail_bits[head] == 0 {
                     self.head = head + 1;
                 }
-                return Some(Allocation { tag, slot, ops });
+                return Some(Allocation { tag, slot });
             }
             // Head block fully mapped (can happen after a head retreat
             // consumed the retreat block): advance and retry — at most one
@@ -237,34 +219,39 @@ impl Nfl {
                 write: false,
             });
             self.head = head + 1;
-            if self.head >= self.blocks.len() {
+            if self.head >= self.avail_bits.len() {
+                ops.truncate(pushed);
                 return None;
             }
         }
     }
 
-    /// Returns a freed slot to the free list.
+    /// Returns a freed slot to the free list, pushing the touched blocks
+    /// onto `ops`.
     ///
     /// `tag` may belong to a *different* TreeLing (cross-TreeLing
     /// maintenance): the NFL only manipulates opaque tags.
-    pub fn free(&mut self, tag: u64, slot: u8) -> FreeOutcome {
-        let mut ops = Vec::with_capacity(2);
-        let head = self.head.min(self.blocks.len() - 1);
+    pub fn free(&mut self, tag: u64, slot: u8, ops: &mut Vec<NflOp>) -> FreeOutcome {
+        let head = self.head.min(self.avail_bits.len() - 1);
+        let base = head * self.entries_per_block;
+        let len = self.block_len(head);
 
         // Case (d): in-place update on a tag match in the current block.
         // (A tag search, not an occupancy question — the mask cannot answer
         // it, so this probe stays a scan over the ≤ 8-entry block.)
-        if let Some(ei) = self.blocks[head].entries.iter().position(|e| e.tag == tag) {
-            let block = &mut self.blocks[head];
-            block.entries[ei].avail |= 1 << slot;
-            block.avail_bits |= 1 << ei;
+        if let Some(ei) = self.entries[base..base + len]
+            .iter()
+            .position(|e| e.tag == tag)
+        {
+            self.entries[base + ei].avail |= 1 << slot;
+            self.avail_bits[head] |= 1 << ei;
             self.free_tracked += 1;
             ops.push(NflOp {
                 block: head as u32,
                 write: true,
             });
             self.head = head; // a retreat past the end is healed here
-            return FreeOutcome::Tracked(ops);
+            return FreeOutcome::Tracked;
         }
 
         // Case (e): replace a fully-assigned entry in the current block —
@@ -273,20 +260,21 @@ impl Nfl {
             block: head as u32,
             write: false,
         });
-        if let Some(ei) = self.blocks[head].first_fully_assigned() {
-            let block = &mut self.blocks[head];
-            block.entries[ei] = Entry {
+        let used = !self.avail_bits[head] & Self::len_mask(len);
+        if used != 0 {
+            let ei = used.trailing_zeros() as usize;
+            self.entries[base + ei] = Entry {
                 tag,
                 avail: 1 << slot,
             };
-            block.avail_bits |= 1 << ei;
+            self.avail_bits[head] |= 1 << ei;
             self.free_tracked += 1;
             ops.push(NflOp {
                 block: head as u32,
                 write: true,
             });
             self.head = head;
-            return FreeOutcome::Tracked(ops);
+            return FreeOutcome::Tracked;
         }
 
         // Case (f): retreat one block; the invariant guarantees that block
@@ -298,37 +286,42 @@ impl Nfl {
                 write: true,
             });
             debug_assert!(
-                self.blocks[prev].fully_mapped(),
+                self.avail_bits[prev] == 0,
                 "invariant: blocks before head are fully mapped"
             );
-            self.blocks[prev].entries[0] = Entry {
+            self.entries[prev * self.entries_per_block] = Entry {
                 tag,
                 avail: 1 << slot,
             };
-            self.blocks[prev].avail_bits |= 1;
+            self.avail_bits[prev] |= 1;
             self.free_tracked += 1;
             self.head = prev;
-            return FreeOutcome::Tracked(ops);
+            return FreeOutcome::Tracked;
         }
 
         // Head is the first block and nothing is replaceable: hand the slot
         // to the caller for cross-TreeLing maintenance.
-        FreeOutcome::Fallback(ops)
+        FreeOutcome::Fallback
     }
 
     /// Test/verification helper: checks the head invariant and that every
     /// block's occupancy mask agrees with its entries.
     pub fn invariant_holds(&self) -> bool {
-        let masks_consistent = self.blocks.iter().all(|b| {
-            b.entries
-                .iter()
-                .enumerate()
-                .all(|(i, e)| (b.avail_bits >> i) & 1 == u64::from(e.avail != 0))
-        });
+        let masks_consistent = self
+            .entries
+            .chunks(self.entries_per_block)
+            .zip(&self.avail_bits)
+            .all(|(block, &bits)| {
+                bits & !Self::len_mask(block.len()) == 0
+                    && block
+                        .iter()
+                        .enumerate()
+                        .all(|(i, e)| (bits >> i) & 1 == u64::from(e.avail != 0))
+            });
         masks_consistent
-            && self.blocks[..self.head.min(self.blocks.len())]
+            && self.avail_bits[..self.head.min(self.avail_bits.len())]
                 .iter()
-                .all(Block::fully_mapped)
+                .all(|&bits| bits == 0)
     }
 }
 
@@ -337,17 +330,27 @@ mod tests {
     use super::*;
 
     fn nfl(nodes: u64, entries_per_block: usize) -> Nfl {
-        Nfl::new((0..nodes).collect(), 8, entries_per_block)
+        Nfl::new(0..nodes, 8, entries_per_block)
+    }
+
+    fn alloc(n: &mut Nfl) -> Option<Allocation> {
+        n.alloc(&mut Vec::new())
+    }
+
+    fn free(n: &mut Nfl, tag: u64, slot: u8) -> (FreeOutcome, Vec<NflOp>) {
+        let mut ops = Vec::new();
+        let out = n.free(tag, slot, &mut ops);
+        (out, ops)
     }
 
     #[test]
     fn allocates_in_order() {
         let mut n = nfl(2, 4);
         for slot in 0..8 {
-            let a = n.alloc().unwrap();
+            let a = alloc(&mut n).unwrap();
             assert_eq!((a.tag, a.slot), (0, slot));
         }
-        let a = n.alloc().unwrap();
+        let a = alloc(&mut n).unwrap();
         assert_eq!((a.tag, a.slot), (1, 0));
     }
 
@@ -355,10 +358,10 @@ mod tests {
     fn exhaustion_returns_none() {
         let mut n = nfl(1, 4);
         for _ in 0..8 {
-            assert!(n.alloc().is_some());
+            assert!(alloc(&mut n).is_some());
         }
         assert!(n.is_exhausted());
-        assert!(n.alloc().is_none());
+        assert!(alloc(&mut n).is_none());
     }
 
     #[test]
@@ -366,18 +369,15 @@ mod tests {
         // Free a slot whose node is tracked in the current block.
         let mut n = nfl(8, 4); // 2 blocks of 4 entries
         for _ in 0..3 {
-            n.alloc().unwrap();
+            alloc(&mut n).unwrap();
         }
         // Node 0 partially consumed; current block is still block 0.
-        match n.free(0, 1) {
-            FreeOutcome::Tracked(ops) => {
-                assert_eq!(ops.len(), 1);
-                assert!(ops[0].write);
-            }
-            other => panic!("expected tracked, got {other:?}"),
-        }
+        let (out, ops) = free(&mut n, 0, 1);
+        assert_eq!(out, FreeOutcome::Tracked);
+        assert_eq!(ops.len(), 1);
+        assert!(ops[0].write);
         // The freed slot is reallocated before untouched ones.
-        let a = n.alloc().unwrap();
+        let a = alloc(&mut n).unwrap();
         assert_eq!((a.tag, a.slot), (0, 1));
     }
 
@@ -385,7 +385,7 @@ mod tests {
     fn fig8c_head_advances_when_block_full() {
         let mut n = nfl(8, 4);
         for _ in 0..32 {
-            n.alloc().unwrap();
+            alloc(&mut n).unwrap();
         }
         assert_eq!(n.head(), 1);
         assert!(n.invariant_holds());
@@ -396,17 +396,14 @@ mod tests {
         let mut n = nfl(8, 4);
         // Fill node 0 completely and node 1 partially; head stays at block 0.
         for _ in 0..10 {
-            n.alloc().unwrap();
+            alloc(&mut n).unwrap();
         }
         // Free a slot of node 5 (tracked in block 1, not current). Node 0's
         // entry is fully assigned → replaced.
-        match n.free(5, 3) {
-            FreeOutcome::Tracked(_) => {}
-            other => panic!("expected tracked, got {other:?}"),
-        }
+        assert_eq!(free(&mut n, 5, 3).0, FreeOutcome::Tracked);
         // Freed (5, 3) must be reallocated before node 1's remaining slots
         // only if it comes first in entry order — entry 0 was replaced, so:
-        let a = n.alloc().unwrap();
+        let a = alloc(&mut n).unwrap();
         assert_eq!((a.tag, a.slot), (5, 3));
         assert!(n.invariant_holds());
     }
@@ -417,7 +414,7 @@ mod tests {
         // Consume blocks 0 and 1 partially: fill all of block 0 (32 slots)
         // and a bit of block 1.
         for _ in 0..34 {
-            n.alloc().unwrap();
+            alloc(&mut n).unwrap();
         }
         assert_eq!(n.head(), 1);
         // Free slots of nodes tracked in block 0 until block 1's entries
@@ -426,27 +423,21 @@ mod tests {
         // entry after we... craft it simpler: free a foreign tag.
         // Block 1 has no entry with tag 99 and no fully-assigned entry
         // (nodes 5..8 untouched, node 4 partial) → retreat to block 0.
-        match n.free(99, 0) {
-            FreeOutcome::Tracked(ops) => {
-                assert!(ops.iter().any(|o| o.block == 0 && o.write));
-            }
-            other => panic!("expected tracked, got {other:?}"),
-        }
+        let (out, ops) = free(&mut n, 99, 0);
+        assert_eq!(out, FreeOutcome::Tracked);
+        assert!(ops.iter().any(|o| o.block == 0 && o.write));
         assert_eq!(n.head(), 0);
         assert!(n.invariant_holds());
         // Allocation serves the retreat block first.
-        let a = n.alloc().unwrap();
+        let a = alloc(&mut n).unwrap();
         assert_eq!((a.tag, a.slot), (99, 0));
     }
 
     #[test]
     fn fallback_when_first_block_unusable() {
         let mut n = nfl(4, 4); // single block
-        n.alloc().unwrap(); // node 0 partially used, no fully-assigned entry
-        match n.free(77, 0) {
-            FreeOutcome::Fallback(_) => {}
-            other => panic!("expected fallback, got {other:?}"),
-        }
+        alloc(&mut n).unwrap(); // node 0 partially used, no fully-assigned entry
+        assert_eq!(free(&mut n, 77, 0).0, FreeOutcome::Fallback);
     }
 
     #[test]
@@ -454,23 +445,49 @@ mod tests {
         let mut n = nfl(4, 4);
         // Fill node 0 fully → entry fully assigned.
         for _ in 0..8 {
-            n.alloc().unwrap();
+            alloc(&mut n).unwrap();
         }
-        match n.free(0xABCD, 2) {
-            FreeOutcome::Tracked(_) => {}
-            other => panic!("expected tracked, got {other:?}"),
-        }
-        let a = n.alloc().unwrap();
+        assert_eq!(free(&mut n, 0xABCD, 2).0, FreeOutcome::Tracked);
+        let a = alloc(&mut n).unwrap();
         assert_eq!((a.tag, a.slot), (0xABCD, 2));
+    }
+
+    #[test]
+    fn short_last_block_serves_and_replaces() {
+        let mut n = nfl(5, 4); // blocks of 4 and 1 entries
+        assert_eq!(n.block_count(), 2);
+        for _ in 0..40 {
+            alloc(&mut n).unwrap();
+        }
+        assert!(n.is_exhausted());
+        // Head sits past the end; the free heals it onto the short block.
+        let (out, ops) = free(&mut n, 4, 7);
+        assert_eq!(out, FreeOutcome::Tracked);
+        assert_eq!(
+            ops,
+            [NflOp {
+                block: 1,
+                write: true
+            }]
+        );
+        let a = alloc(&mut n).unwrap();
+        assert_eq!((a.tag, a.slot), (4, 7));
+        // The short block's only entry is fully assigned: case (e).
+        let (out, ops) = free(&mut n, 99, 0);
+        assert_eq!(out, FreeOutcome::Tracked);
+        assert_eq!(ops.len(), 2);
+        assert!(n.invariant_holds());
+        let a = alloc(&mut n).unwrap();
+        assert_eq!((a.tag, a.slot), (99, 0));
     }
 
     #[test]
     fn free_tracked_accounting() {
         let mut n = nfl(2, 4);
         assert_eq!(n.free_tracked(), 16);
-        n.alloc().unwrap();
+        alloc(&mut n).unwrap();
         assert_eq!(n.free_tracked(), 15);
-        n.free(0, 0);
+        free(&mut n, 0, 0);
         assert_eq!(n.free_tracked(), 16);
     }
 
@@ -481,7 +498,7 @@ mod tests {
         let mut rng = ivl_sim_core::rng::Xoshiro256::seed_from(42);
         for step in 0..5000 {
             if live.is_empty() || (rng.chance(0.6) && !n.is_exhausted()) {
-                if let Some(a) = n.alloc() {
+                if let Some(a) = alloc(&mut n) {
                     assert!(
                         !live.contains(&(a.tag, a.slot)),
                         "double allocation of ({}, {}) at step {step}",
@@ -493,7 +510,7 @@ mod tests {
             } else {
                 let idx = rng.index(live.len());
                 let (tag, slot) = live.swap_remove(idx);
-                n.free(tag, slot);
+                free(&mut n, tag, slot);
             }
             assert!(n.invariant_holds(), "invariant broken at step {step}");
         }

@@ -173,6 +173,13 @@ impl IvLeagueSubsystem {
         lock_upper: bool,
     ) -> Self {
         let data_pages = cfg.total_pages();
+        // Checked once here so the forest's 32-bit slot words can never
+        // truncate a page the system can address.
+        assert!(
+            data_pages <= crate::forest::MAX_PAGES,
+            "dram.capacity_bytes: {data_pages} pages exceed the {} a TreeLing slot word can name",
+            crate::forest::MAX_PAGES
+        );
         let data_layout = MetadataLayout::new(data_pages, cfg.secure.tree_arity);
         let forest_cfg =
             ForestConfig::from_ivleague(&cfg.ivleague, cfg.secure.tree_arity as u32, variant);
@@ -554,6 +561,87 @@ impl IvLeagueSubsystem {
         t + tail
     }
 
+    /// Maps a page that has no mapping yet, charging the allocator's
+    /// traffic. Returns the completion time and the page's new slot
+    /// (`None` when the allocation failed).
+    fn map_new_page(
+        &mut self,
+        now: Cycle,
+        dram: &mut DramModel,
+        page: PageNum,
+        domain: DomainId,
+    ) -> (Cycle, Option<LeafSlot>) {
+        let (done, slot) = match &mut self.mapper {
+            Mapper::Nfl(f) => match f.map_page(domain, page) {
+                Ok(out) => {
+                    self.stats.nfl_claims += 1;
+                    if self.tl_on {
+                        self.obs.timeline.count("scheme.nfl_claims", now, 1);
+                    }
+                    let mut t = self.charge_nfl_ops(now, dram, domain, &out.nfl_ops);
+                    // PTE/LMM write for the new mapping.
+                    dram.access(t, pte_block(self.pt_base, page), true);
+                    self.stats.meta_writes += 1;
+                    // Invert conversions: one hash copy each.
+                    for _ in 0..out.conversions {
+                        self.stats.meta_reads += 1;
+                        self.stats.meta_writes += 1;
+                        t += self.secure.hash_latency;
+                    }
+                    for p in &out.remapped {
+                        self.lmm_cache.invalidate(*p);
+                        dram.access(t, pte_block(self.pt_base, *p), true);
+                        self.stats.meta_writes += 1;
+                    }
+                    if let Mapper::Nfl(f) = &mut self.mapper {
+                        f.recycle_ops(out.nfl_ops);
+                    }
+                    (t, Some(out.slot))
+                }
+                Err(_) => {
+                    self.stats.alloc_failures += 1;
+                    (now, None)
+                }
+            },
+            Mapper::Bv(b) => match b.map_page(domain, page) {
+                Ok(out) => {
+                    // The O(N) scan reads bit-vector blocks serially on the
+                    // allocation's critical path.
+                    let mut t = now;
+                    for i in 0..out.blocks_scanned {
+                        let addr = BlockAddr::new(
+                            self.nfl_base
+                                + out.slot.treeling.0 as u64 * self.nfl_stride
+                                + (i % self.nfl_stride),
+                        );
+                        t = dram.access(t, addr, false);
+                        self.stats.nfl_mem_reads += 1;
+                        self.stats.meta_reads += 1;
+                    }
+                    dram.access(t, pte_block(self.pt_base, page), true);
+                    self.stats.meta_writes += 1;
+                    (t, Some(out.slot))
+                }
+                Err(_) => {
+                    self.stats.alloc_failures += 1;
+                    (now, None)
+                }
+            },
+        };
+        if self.trace_on {
+            self.obs.tracer.emit(
+                now,
+                "scheme",
+                Some(domain),
+                None,
+                EventKind::PageAlloc {
+                    failed: slot.is_none(),
+                },
+            );
+        }
+        (done, slot)
+    }
+
     /// Handles Pro hotpage tracking on a data access; migrations happen off
     /// the critical path but their memory traffic is charged. Returns
     /// whether the **accessed page itself** migrated (its slot moved, so a
@@ -607,12 +695,14 @@ impl IvLeagueSubsystem {
                 let migrated = match event {
                     HotEvent::Promote(p) | HotEvent::Demote(p) => p,
                 };
-                if migrated == page {
+                if migrated == page || m.remapped.contains(&page) {
                     accessed_page_moved = true;
                 }
-                self.lmm_cache.invalidate(migrated);
-                dram.access(now, pte_block(self.pt_base, migrated), true);
-                self.stats.meta_writes += 1;
+                for &p in std::iter::once(&migrated).chain(&m.remapped) {
+                    self.lmm_cache.invalidate(p);
+                    dram.access(now, pte_block(self.pt_base, p), true);
+                    self.stats.meta_writes += 1;
+                }
                 self.charge_nfl_ops(now, dram, domain, &m.nfl_ops);
                 if let Mapper::Nfl(f) = &mut self.mapper {
                     f.recycle_ops(m.nfl_ops);
@@ -634,13 +724,12 @@ impl IntegritySubsystem for IvLeagueSubsystem {
     ) -> Cycle {
         let page = block.page();
         // Defensive: first touch without an explicit alloc maps the page.
-        // One mapper probe serves the whole access; the slot is re-fetched
-        // only when the tracker actually migrated this page.
-        let mut slot = self.slot_of(page);
-        if slot.is_none() {
-            self.page_alloc(now, dram, page, domain);
-            slot = self.slot_of(page);
-        }
+        // One mapper probe serves the whole access (a first touch takes the
+        // slot from the mapping result); the slot is re-fetched only when
+        // the tracker actually migrated this page.
+        let mut slot = self
+            .slot_of(page)
+            .or_else(|| self.map_new_page(now, dram, page, domain).1);
         // The hotpage tracker observes every access reaching the memory
         // controller (Figure 14a).
         if self.track_hotpage(now, dram, page, domain) {
@@ -752,75 +841,7 @@ impl IntegritySubsystem for IvLeagueSubsystem {
         if self.slot_of(page).is_some() {
             return now;
         }
-        let done = match &mut self.mapper {
-            Mapper::Nfl(f) => match f.map_page(domain, page) {
-                Ok(out) => {
-                    self.stats.nfl_claims += 1;
-                    if self.tl_on {
-                        self.obs.timeline.count("scheme.nfl_claims", now, 1);
-                    }
-                    let mut t = self.charge_nfl_ops(now, dram, domain, &out.nfl_ops);
-                    // PTE/LMM write for the new mapping.
-                    dram.access(t, pte_block(self.pt_base, page), true);
-                    self.stats.meta_writes += 1;
-                    // Invert conversions: one hash copy each.
-                    for _ in 0..out.conversions {
-                        self.stats.meta_reads += 1;
-                        self.stats.meta_writes += 1;
-                        t += self.secure.hash_latency;
-                    }
-                    for p in &out.remapped {
-                        self.lmm_cache.invalidate(*p);
-                        dram.access(t, pte_block(self.pt_base, *p), true);
-                        self.stats.meta_writes += 1;
-                    }
-                    if let Mapper::Nfl(f) = &mut self.mapper {
-                        f.recycle_ops(out.nfl_ops);
-                    }
-                    t
-                }
-                Err(_) => {
-                    self.stats.alloc_failures += 1;
-                    now
-                }
-            },
-            Mapper::Bv(b) => match b.map_page(domain, page) {
-                Ok(out) => {
-                    // The O(N) scan reads bit-vector blocks serially on the
-                    // allocation's critical path.
-                    let mut t = now;
-                    for i in 0..out.blocks_scanned {
-                        let addr = BlockAddr::new(
-                            self.nfl_base
-                                + out.slot.treeling.0 as u64 * self.nfl_stride
-                                + (i % self.nfl_stride),
-                        );
-                        t = dram.access(t, addr, false);
-                        self.stats.nfl_mem_reads += 1;
-                        self.stats.meta_reads += 1;
-                    }
-                    dram.access(t, pte_block(self.pt_base, page), true);
-                    self.stats.meta_writes += 1;
-                    t
-                }
-                Err(_) => {
-                    self.stats.alloc_failures += 1;
-                    now
-                }
-            },
-        };
-        if self.trace_on {
-            self.obs.tracer.emit(
-                now,
-                "scheme",
-                Some(domain),
-                None,
-                EventKind::PageAlloc {
-                    failed: self.slot_of(page).is_none(),
-                },
-            );
-        }
-        done
+        self.map_new_page(now, dram, page, domain).0
     }
 
     fn page_dealloc(

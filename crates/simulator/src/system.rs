@@ -513,15 +513,21 @@ pub fn run_mix_observed(
     // larger than every queued one, so a strict key win is exactly the
     // case where the heap would have returned the same core.
     let mut next: Option<usize> = None;
+    // Warm-up progress as two counts instead of a scan per event: cores
+    // still below `warmup_total`, and generators not yet `warmed_up()`.
+    // Both predicates are monotone (a core's access count only grows; a
+    // generator's live set stays at its footprint once the spike is over),
+    // so each core and generator is counted off exactly once, right after
+    // the event that carries it across.
+    let mut cold_cores = cores.iter().filter(|c| c.accesses < warmup_total).count();
+    let mut gen_warm: Vec<bool> = gens.iter().map(TraceGenerator::warmed_up).collect();
+    let mut cold_gens = gen_warm.iter().filter(|&&w| !w).count();
 
     // Least-advanced core executes next (loose global ordering).
     while let Some(idx) = next.take().or_else(|| calendar.pop().map(|(_, i)| i)) {
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
-        if !measuring
-            && cores.iter().all(|c| c.accesses >= warmup_total)
-            && gens.iter().all(TraceGenerator::warmed_up)
-        {
+        if !measuring && cold_cores == 0 && cold_gens == 0 {
             measuring = true;
             epoch_stats = *scheme.stats();
             export_run_stats(&scheme, &dram, &llc, &cores, &mut epoch_reg);
@@ -557,6 +563,9 @@ pub fn run_mix_observed(
                     gap_instrs,
                 } => {
                     core.accesses += 1;
+                    if core.accesses == warmup_total {
+                        cold_cores -= 1;
+                    }
                     if measuring {
                         core_accesses += 1;
                     }
@@ -694,6 +703,12 @@ pub fn run_mix_observed(
                     core.instrs += 30;
                 }
             }
+        }
+
+        let g = cores[idx].gen;
+        if !gen_warm[g] && gens[g].warmed_up() {
+            gen_warm[g] = true;
+            cold_gens -= 1;
         }
 
         // Requeue the core at its new ready cycle; a core past its access

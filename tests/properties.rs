@@ -14,7 +14,7 @@ use ivleague_repro::ivl_sim_core::addr::{BlockAddr, PageNum};
 use ivleague_repro::ivl_sim_core::config::IvVariant;
 use ivleague_repro::ivl_sim_core::domain::DomainId;
 use ivleague_repro::ivleague::forest::{Forest, ForestConfig};
-use ivleague_repro::ivleague::nfl::{FreeOutcome, Nfl};
+use ivleague_repro::ivleague::nfl::Nfl;
 
 #[derive(Debug, Clone)]
 enum NflOp {
@@ -37,12 +37,13 @@ props! {
 
     #[test]
     fn nfl_never_double_allocates(ops in nfl_ops()) {
-        let mut nfl = Nfl::new((0..24).collect(), 8, 4);
+        let mut nfl = Nfl::new(0..24, 8, 4);
         let mut live: Vec<(u64, u8)> = Vec::new();
+        let mut touched = Vec::new();
         for op in ops {
             match op {
                 NflOp::Alloc => {
-                    if let Some(a) = nfl.alloc() {
+                    if let Some(a) = nfl.alloc(&mut touched) {
                         prop_assert!(
                             !live.contains(&(a.tag, a.slot)),
                             "double allocation of ({}, {})", a.tag, a.slot
@@ -56,11 +57,13 @@ props! {
                         // Fallback means the slot is untracked — it must
                         // never reappear, which the double-alloc check above
                         // verifies implicitly.
-                        let _ = matches!(nfl.free(tag, slot), FreeOutcome::Fallback(_));
+                        nfl.free(tag, slot, &mut touched);
                     }
                 }
             }
             prop_assert!(nfl.invariant_holds());
+            prop_assert!(touched.iter().all(|o| o.block < nfl.block_count()));
+            touched.clear();
         }
     }
 
