@@ -129,25 +129,6 @@ fn bench_caches_and_dram(h: &mut Harness) {
     });
 }
 
-fn bench_scheduler(h: &mut Harness) {
-    h.group("scheduler");
-    use ivl_sim_core::calendar::EventCalendar;
-    // Steady-state pop + reschedule over a calendar far larger than any
-    // simulated system's core count.
-    let mut cal: EventCalendar<u32> = EventCalendar::with_capacity(256);
-    let mut rng = Xoshiro256::seed_from(3);
-    for i in 0..256u32 {
-        cal.schedule(rng.next_below(1_000), i as u64, i);
-    }
-    let mut now = 0u64;
-    h.bench("scheduler_pop", || {
-        let (at, id) = cal.pop().expect("calendar stays populated");
-        now = now.max(at);
-        cal.schedule(now + 1 + rng.next_below(200), id as u64, id);
-        id
-    });
-}
-
 fn bench_nfl_and_forest(h: &mut Harness) {
     h.group("ivleague_mechanisms");
     let mut nfl = Nfl::new(0..512, 8, 8);
@@ -260,7 +241,6 @@ fn main() {
     bench_crypto(&mut h);
     bench_functional_secure_memory(&mut h);
     bench_caches_and_dram(&mut h);
-    bench_scheduler(&mut h);
     bench_nfl_and_forest(&mut h);
     bench_scheme_access_paths(&mut h);
     bench_workload_generator(&mut h);

@@ -43,10 +43,11 @@ struct Core {
     inv_ipc: f64,
 }
 
-/// Ordering oracle: `run_mix` rebuilt from the public model objects with
-/// the pre-calendar core picker — a linear `min_by_key` scan over the
-/// cores still inside their access budget (least-advanced core first, ties
-/// to the lowest index), rescanned on every event.
+/// Reference runner: `run_mix` rebuilt from the public model objects.
+/// Like the production loop it picks cores with a linear `min_by_key` scan
+/// over the cores still inside their access budget (least-advanced core
+/// first, ties to the lowest index), but it decides the warm-up flip by
+/// rescanning every core and generator on every event.
 fn run_mix_linear_scan(mix: &Mix, scheme_kind: SchemeKind, run: &RunConfig) -> MixResult {
     let cfg = SystemConfig::default();
     let mut scheme = scheme_kind.build(&cfg);
@@ -228,28 +229,29 @@ fn run_mix_linear_scan(mix: &Mix, scheme_kind: SchemeKind, run: &RunConfig) -> M
     }
 }
 
-/// The event-calendar core scheduler must be invisible in the results:
-/// popping core-ready events from a binary heap (with the
-/// run-until-preempted fast path) has to reproduce the linear
-/// `min_by_key` scan's loose global ordering — least-advanced core first,
-/// ties to the lowest core index — **bit-for-bit**, across the full
-/// 16-mix × 4-scheme matrix. Any divergence means the calendar reordered
-/// simultaneous cores (or dropped or duplicated a requeue), which would
-/// silently change every figure.
+/// The production loop must match the reference runner **bit-for-bit**
+/// across the full 16-mix × 4-scheme matrix. `run_mix` tracks warm-up
+/// progress incrementally (a count of cores below the warm-up budget and a
+/// bitmask of generators not yet warmed up), each core or generator
+/// counted off once right after the event that carries it across; the
+/// reference runner rescans every core and generator on every event
+/// instead. Any divergence means the production loop flipped to the
+/// measurement window at a different event (or the core picker changed),
+/// which would silently change every figure.
 #[test]
-fn event_calendar_is_bit_identical_to_linear_scan() {
+fn run_mix_matches_reference_runner() {
     let run = RunConfig::smoke_test();
     for mix in &MIXES {
         for scheme in MAIN_SCHEMES {
-            let linear = run_mix_linear_scan(mix, scheme, &run);
-            let calendar = run_mix(mix, scheme, &run);
+            let reference = run_mix_linear_scan(mix, scheme, &run);
+            let production = run_mix(mix, scheme, &run);
             // `Debug` prints every stat field and every f64 with
             // shortest-round-trip precision, so equal strings ⇔ bit-equal
             // results (modulo NaN, which no field may be anyway).
             assert_eq!(
-                format!("{linear:?}"),
-                format!("{calendar:?}"),
-                "calendar and linear-scan orderings diverged for {}/{scheme:?}",
+                format!("{reference:?}"),
+                format!("{production:?}"),
+                "run_mix and the reference runner diverged for {}/{scheme:?}",
                 mix.name
             );
         }

@@ -10,10 +10,11 @@
 //! (no slot double-mapped, no node shared across domains, NFL head
 //! invariant) without timing noise.
 
+use std::collections::HashMap;
+
 use ivl_sim_core::addr::PageNum;
 use ivl_sim_core::config::{IvLeagueConfig, IvVariant};
 use ivl_sim_core::domain::DomainId;
-use ivl_sim_core::fxhash::FxHashMap;
 
 use crate::domains::{DomainController, StarvationError};
 use crate::geometry::{LeafSlot, TlNode, TreeLingGeometry, TreeLingId};
@@ -1163,7 +1164,7 @@ impl Forest {
     /// verification paths of pages owned by different domains. This is the
     /// security property §VIII rests on; tests call it after stress runs.
     pub fn verify_isolation(&self) -> bool {
-        let mut node_owner: FxHashMap<(TreeLingId, TlNode), DomainId> = FxHashMap::default();
+        let mut node_owner: HashMap<(TreeLingId, TlNode), DomainId> = HashMap::new();
         for (page, e) in self.pages.iter() {
             let domain = e.domain();
             if let Some(path) = self.verification_path(page) {

@@ -15,7 +15,6 @@
 use ivl_cache::set_assoc::SetAssocCache;
 use ivl_cache::CacheModel;
 use ivl_sim_core::addr::{BlockAddr, PageNum};
-use ivl_sim_core::stats::HitMiss;
 
 /// Extended-PTE entries per 64 B memory block: a 16-byte PTE (8 B PTE +
 /// 8 B leaf ID) packs four to a block.
@@ -54,7 +53,6 @@ pub fn pte_block(pt_base_block: u64, page: PageNum) -> BlockAddr {
 #[derive(Debug)]
 pub struct LmmCache {
     cache: SetAssocCache,
-    stats: HitMiss,
 }
 
 impl LmmCache {
@@ -70,15 +68,12 @@ impl LmmCache {
         );
         LmmCache {
             cache: SetAssocCache::new(entries / ways, ways),
-            stats: HitMiss::new(),
         }
     }
 
     /// Looks up `page`, filling on a miss. Returns whether it hit.
     pub fn access(&mut self, page: PageNum) -> bool {
-        let out = self.cache.access(page.index(), false);
-        self.stats.record(out.hit);
-        out.hit
+        self.cache.access(page.index(), false).hit
     }
 
     /// Invalidates `page`'s entry (TLB shootdown / page remap / migration:
@@ -86,11 +81,6 @@ impl LmmCache {
     /// consistent).
     pub fn invalidate(&mut self, page: PageNum) {
         self.cache.invalidate(page.index());
-    }
-
-    /// Hit/miss statistics.
-    pub fn stats(&self) -> HitMiss {
-        self.stats
     }
 }
 
@@ -116,8 +106,6 @@ mod tests {
         let mut c = LmmCache::new(64, 16);
         assert!(!c.access(PageNum::new(1)));
         assert!(c.access(PageNum::new(1)));
-        assert_eq!(c.stats().hits(), 1);
-        assert_eq!(c.stats().misses(), 1);
     }
 
     #[test]

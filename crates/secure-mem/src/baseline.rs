@@ -268,8 +268,10 @@ impl GlobalBmtSubsystem {
                 break;
             }
             let nb = self.layout.node_block(node);
-            let hit = self.tree_cache.probe(nb.index());
+            // `access` reports the pre-access hit state, so no separate
+            // `probe` scan of the set is needed.
             let out = self.tree_cache.access(nb.index(), true);
+            let hit = out.hit;
             self.stats.tree_cache.record(hit);
             if self.obs.tracer.enabled() {
                 self.obs.tracer.emit(

@@ -35,7 +35,6 @@
 //! ```
 
 pub mod baseline;
-pub mod counter_tree;
 pub mod counters;
 pub mod functional;
 pub mod layout;

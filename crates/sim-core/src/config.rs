@@ -7,8 +7,6 @@
 //! parameters (204 KiB LMM cache, 2-entry per-domain NFLB, 4-level TreeLings,
 //! 4 Ki TreeLings, 128-entry hotpage tracker).
 
-use ivl_testkit::kv::{KvDoc, KvError};
-
 use crate::Cycle;
 
 /// Geometry and latency of a single cache level.
@@ -45,11 +43,6 @@ impl CacheConfig {
 pub struct CoreConfig {
     /// Number of out-of-order cores.
     pub cores: usize,
-    /// Base (memory-idle) IPC of the modeled OoO pipeline.
-    pub base_ipc: f64,
-    /// Memory-level parallelism: average overlap factor applied to memory
-    /// stall cycles (an OoO core hides part of each miss).
-    pub mlp: f64,
     /// Private L1 data cache.
     pub l1: CacheConfig,
     /// Private L2 cache.
@@ -61,9 +54,6 @@ pub struct CoreConfig {
 pub struct LlcConfig {
     /// Geometry and latency.
     pub cache: CacheConfig,
-    /// Whether MIRAGE-style randomized indexing is enabled (the paper's
-    /// baseline integrates a randomized-cache defense in the LLC).
-    pub randomized: bool,
 }
 
 /// DRAM device and channel timing (DDR-style, in memory-controller cycles
@@ -88,8 +78,6 @@ pub struct DramConfig {
     pub t_rp: Cycle,
     /// Data burst occupancy per access in core cycles.
     pub t_burst: Cycle,
-    /// Read/write queue capacity per channel.
-    pub queue_depth: usize,
 }
 
 /// Secure-memory (encryption + integrity) configuration.
@@ -186,8 +174,6 @@ impl Default for SystemConfig {
         SystemConfig {
             core: CoreConfig {
                 cores: 8,
-                base_ipc: 1.6,
-                mlp: 3.0,
                 l1: CacheConfig {
                     capacity_bytes: 32 * 1024,
                     ways: 8,
@@ -208,7 +194,6 @@ impl Default for SystemConfig {
                     line_bytes: 64,
                     hit_latency: 40,
                 },
-                randomized: true,
             },
             dram: DramConfig {
                 capacity_bytes: 32 * 1024 * 1024 * 1024,
@@ -220,7 +205,6 @@ impl Default for SystemConfig {
                 t_cas: 44,
                 t_rp: 44,
                 t_burst: 16,
-                queue_depth: 64,
             },
             secure: SecureMemConfig {
                 aes_latency: 20,
@@ -269,127 +253,6 @@ impl SystemConfig {
     pub fn total_pages(&self) -> u64 {
         self.dram.capacity_bytes / crate::addr::PAGE_BYTES as u64
     }
-
-    /// Serializes the configuration to the TOML-subset text form
-    /// (`ivl-testkit`'s key=value serializer; see DESIGN.md §5).
-    pub fn to_toml(&self) -> String {
-        let mut doc = KvDoc::new();
-        let c = &self.core;
-        doc.set_usize("core.cores", c.cores);
-        doc.set_f64("core.base_ipc", c.base_ipc);
-        doc.set_f64("core.mlp", c.mlp);
-        put_cache(&mut doc, "core.l1", &c.l1);
-        put_cache(&mut doc, "core.l2", &c.l2);
-        doc.set_bool("llc.randomized", self.llc.randomized);
-        put_cache(&mut doc, "llc.cache", &self.llc.cache);
-        let d = &self.dram;
-        doc.set_u64("dram.capacity_bytes", d.capacity_bytes);
-        doc.set_usize("dram.channels", d.channels);
-        doc.set_usize("dram.ranks_per_channel", d.ranks_per_channel);
-        doc.set_usize("dram.banks_per_rank", d.banks_per_rank);
-        doc.set_usize("dram.row_bytes", d.row_bytes);
-        doc.set_u64("dram.t_rcd", d.t_rcd);
-        doc.set_u64("dram.t_cas", d.t_cas);
-        doc.set_u64("dram.t_rp", d.t_rp);
-        doc.set_u64("dram.t_burst", d.t_burst);
-        doc.set_usize("dram.queue_depth", d.queue_depth);
-        let s = &self.secure;
-        doc.set_u64("secure.aes_latency", s.aes_latency);
-        doc.set_u64("secure.hash_latency", s.hash_latency);
-        doc.set_usize("secure.tree_arity", s.tree_arity);
-        doc.set_usize("secure.mac_bytes", s.mac_bytes);
-        put_cache(&mut doc, "secure.counter_cache", &s.counter_cache);
-        put_cache(&mut doc, "secure.tree_cache", &s.tree_cache);
-        let iv = &self.ivleague;
-        doc.set_usize("ivleague.treeling_levels", iv.treeling_levels);
-        doc.set_usize("ivleague.treeling_count", iv.treeling_count);
-        doc.set_usize("ivleague.lmm_cache_entries", iv.lmm_cache_entries);
-        doc.set_usize("ivleague.lmm_cache_ways", iv.lmm_cache_ways);
-        doc.set_u64("ivleague.lmm_hit_latency", iv.lmm_hit_latency);
-        doc.set_usize(
-            "ivleague.nflb_entries_per_domain",
-            iv.nflb_entries_per_domain,
-        );
-        doc.set_usize("ivleague.nfl_entries_per_block", iv.nfl_entries_per_block);
-        doc.set_usize("ivleague.tracker_entries", iv.tracker_entries);
-        doc.set_u64(
-            "ivleague.tracker_counter_bits",
-            iv.tracker_counter_bits as u64,
-        );
-        doc.set_u64("ivleague.hot_threshold", iv.hot_threshold as u64);
-        doc.set_u64("ivleague.tracker_clear_interval", iv.tracker_clear_interval);
-        doc.set_f64("ivleague.hot_region_fraction", iv.hot_region_fraction);
-        doc.to_toml_string()
-    }
-
-    /// Parses a configuration previously produced by [`Self::to_toml`]
-    /// (unknown keys are ignored; missing or mistyped keys error).
-    pub fn from_toml(text: &str) -> Result<Self, KvError> {
-        let doc = KvDoc::parse(text)?;
-        Ok(SystemConfig {
-            core: CoreConfig {
-                cores: doc.get_usize("core.cores")?,
-                base_ipc: doc.get_f64("core.base_ipc")?,
-                mlp: doc.get_f64("core.mlp")?,
-                l1: get_cache(&doc, "core.l1")?,
-                l2: get_cache(&doc, "core.l2")?,
-            },
-            llc: LlcConfig {
-                cache: get_cache(&doc, "llc.cache")?,
-                randomized: doc.get_bool("llc.randomized")?,
-            },
-            dram: DramConfig {
-                capacity_bytes: doc.get_u64("dram.capacity_bytes")?,
-                channels: doc.get_usize("dram.channels")?,
-                ranks_per_channel: doc.get_usize("dram.ranks_per_channel")?,
-                banks_per_rank: doc.get_usize("dram.banks_per_rank")?,
-                row_bytes: doc.get_usize("dram.row_bytes")?,
-                t_rcd: doc.get_u64("dram.t_rcd")?,
-                t_cas: doc.get_u64("dram.t_cas")?,
-                t_rp: doc.get_u64("dram.t_rp")?,
-                t_burst: doc.get_u64("dram.t_burst")?,
-                queue_depth: doc.get_usize("dram.queue_depth")?,
-            },
-            secure: SecureMemConfig {
-                aes_latency: doc.get_u64("secure.aes_latency")?,
-                hash_latency: doc.get_u64("secure.hash_latency")?,
-                tree_arity: doc.get_usize("secure.tree_arity")?,
-                counter_cache: get_cache(&doc, "secure.counter_cache")?,
-                tree_cache: get_cache(&doc, "secure.tree_cache")?,
-                mac_bytes: doc.get_usize("secure.mac_bytes")?,
-            },
-            ivleague: IvLeagueConfig {
-                treeling_levels: doc.get_usize("ivleague.treeling_levels")?,
-                treeling_count: doc.get_usize("ivleague.treeling_count")?,
-                lmm_cache_entries: doc.get_usize("ivleague.lmm_cache_entries")?,
-                lmm_cache_ways: doc.get_usize("ivleague.lmm_cache_ways")?,
-                lmm_hit_latency: doc.get_u64("ivleague.lmm_hit_latency")?,
-                nflb_entries_per_domain: doc.get_usize("ivleague.nflb_entries_per_domain")?,
-                nfl_entries_per_block: doc.get_usize("ivleague.nfl_entries_per_block")?,
-                tracker_entries: doc.get_usize("ivleague.tracker_entries")?,
-                tracker_counter_bits: doc.get_u32("ivleague.tracker_counter_bits")?,
-                hot_threshold: doc.get_u32("ivleague.hot_threshold")?,
-                tracker_clear_interval: doc.get_u64("ivleague.tracker_clear_interval")?,
-                hot_region_fraction: doc.get_f64("ivleague.hot_region_fraction")?,
-            },
-        })
-    }
-}
-
-fn put_cache(doc: &mut KvDoc, prefix: &str, c: &CacheConfig) {
-    doc.set_usize(&format!("{prefix}.capacity_bytes"), c.capacity_bytes);
-    doc.set_usize(&format!("{prefix}.ways"), c.ways);
-    doc.set_usize(&format!("{prefix}.line_bytes"), c.line_bytes);
-    doc.set_u64(&format!("{prefix}.hit_latency"), c.hit_latency);
-}
-
-fn get_cache(doc: &KvDoc, prefix: &str) -> Result<CacheConfig, KvError> {
-    Ok(CacheConfig {
-        capacity_bytes: doc.get_usize(&format!("{prefix}.capacity_bytes"))?,
-        ways: doc.get_usize(&format!("{prefix}.ways"))?,
-        line_bytes: doc.get_usize(&format!("{prefix}.line_bytes"))?,
-        hit_latency: doc.get_u64(&format!("{prefix}.hit_latency"))?,
-    })
 }
 
 #[cfg(test)]
@@ -450,41 +313,5 @@ mod tests {
         let c = SystemConfig::default();
         let d = c.clone();
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn toml_round_trips_default_config() {
-        let c = SystemConfig::default();
-        let text = c.to_toml();
-        let back = SystemConfig::from_toml(&text).expect("parse own output");
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn toml_round_trips_modified_config() {
-        let mut c = SystemConfig::default();
-        c.core.cores = 64;
-        c.core.base_ipc = 2.5;
-        c.llc.randomized = false;
-        c.ivleague.hot_region_fraction = 0.0625;
-        c.dram.capacity_bytes = 128 * 1024 * 1024 * 1024;
-        let back = SystemConfig::from_toml(&c.to_toml()).expect("parse");
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn toml_output_is_sectioned() {
-        let text = SystemConfig::default().to_toml();
-        assert!(text.contains("[core.l1]\n"));
-        assert!(text.contains("[dram]\n"));
-        assert!(text.contains("[ivleague]\n"));
-        assert!(text.contains("capacity_bytes = 32768\n"));
-        assert!(text.contains("randomized = true\n"));
-    }
-
-    #[test]
-    fn from_toml_reports_missing_keys() {
-        let err = SystemConfig::from_toml("[core]\ncores = 8\n").unwrap_err();
-        assert!(matches!(err, ivl_testkit::kv::KvError::MissingKey(_)));
     }
 }

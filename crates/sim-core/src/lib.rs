@@ -6,12 +6,11 @@
 //!   64-byte-block / 4-KiB-page geometry used throughout the paper;
 //! * [`domain`] — integrity-verification (IV) domain identifiers, capped at
 //!   `2^12` domains exactly as IvLeague provisions (Section VI-D1);
-//! * [`calendar`] — the deterministic `(cycle, tie, seq)` min-heap event
-//!   calendar the system runner schedules cores on;
 //! * [`config`] — the Table I architecture configuration as plain data;
-//! * [`stats`] — counters, running means and histograms used by the models;
+//! * [`stats`] — counters, hit/miss pairs and the geometric mean used by
+//!   the models;
 //! * [`obs`] — the workspace-wide observability layer: dotted-path stats
-//!   registry, cycle-stamped event tracing, host-time self-profiling;
+//!   registry, cycle-stamped event tracing, per-window timeline;
 //! * [`rng`] — a small deterministic PRNG (SplitMix64-seeded xoshiro256**)
 //!   so every experiment in the harness is reproducible bit-for-bit.
 //!
@@ -26,10 +25,8 @@
 //! ```
 
 pub mod addr;
-pub mod calendar;
 pub mod config;
 pub mod domain;
-pub mod fxhash;
 pub mod obs;
 pub mod rng;
 pub mod stats;

@@ -149,139 +149,6 @@ impl HitMiss {
     }
 }
 
-/// Running mean over `f64` samples (Welford-free: sum + count is enough for
-/// the magnitudes involved here).
-///
-/// # Examples
-///
-/// ```
-/// use ivl_sim_core::stats::RunningMean;
-/// let mut m = RunningMean::new();
-/// m.push(1.0);
-/// m.push(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub const fn new() -> Self {
-        RunningMean { sum: 0.0, count: 0 }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, sample: f64) {
-        self.sum += sample;
-        self.count = self.count.saturating_add(1);
-    }
-
-    /// Number of samples.
-    pub const fn count(self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples; `0` when empty.
-    pub fn mean(self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Sum of samples.
-    pub const fn sum(self) -> f64 {
-        self.sum
-    }
-}
-
-/// A fixed-width histogram over `u32` samples, saturating at the last bin.
-///
-/// # Examples
-///
-/// ```
-/// use ivl_sim_core::stats::Histogram;
-/// let mut h = Histogram::new(4);
-/// h.push(0);
-/// h.push(2);
-/// h.push(99); // saturates into the last bin
-/// assert_eq!(h.bin(3), 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` buckets (sample `i` lands in bin `i`,
-    /// anything `>= bins` in the last bin).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`.
-    pub fn new(bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            bins: vec![0; bins],
-        }
-    }
-
-    /// Records one sample (bin counts saturate).
-    pub fn push(&mut self, sample: u32) {
-        let idx = (sample as usize).min(self.bins.len() - 1);
-        self.bins[idx] = self.bins[idx].saturating_add(1);
-    }
-
-    /// The raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `true` when no bins exist (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
-
-    /// Total number of samples (saturating).
-    pub fn total(&self) -> u64 {
-        self.bins.iter().fold(0u64, |acc, &c| acc.saturating_add(c))
-    }
-
-    /// Mean of the recorded samples (using bin index as value).
-    pub fn mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| i as u64 * c)
-            .sum();
-        weighted as f64 / total as f64
-    }
-}
-
 /// Geometric mean of a slice of positive values; `0` for an empty slice.
 ///
 /// # Examples
@@ -325,22 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn running_mean_empty_is_zero() {
-        assert_eq!(RunningMean::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn histogram_saturates_and_means() {
-        let mut h = Histogram::new(3);
-        h.push(0);
-        h.push(1);
-        h.push(5);
-        assert_eq!(h.bin(2), 1);
-        assert_eq!(h.total(), 3);
-        assert!((h.mean() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn counter_and_hitmiss_saturate_instead_of_overflowing() {
         // Regression: these used to be raw `+=`, which overflow-panics in
         // debug builds on pathological long runs.
@@ -360,15 +211,6 @@ mod tests {
         assert_eq!(h.hits(), u64::MAX);
         assert_eq!(h.misses(), u64::MAX);
         assert_eq!(h.total(), u64::MAX, "total saturates too");
-    }
-
-    #[test]
-    fn histogram_bins_saturate() {
-        let mut h = Histogram::new(2);
-        h.bins[1] = u64::MAX;
-        h.push(5); // lands in the saturated last bin
-        assert_eq!(h.bin(1), u64::MAX);
-        assert_eq!(h.total(), u64::MAX);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use ivl_cache::CacheModel;
 use ivl_dram::DramModel;
 use ivl_secure_mem::baseline::GlobalBmtSubsystem;
 use ivl_secure_mem::subsystem::{IntegritySubsystem, IvStats, NoProtection};
-use ivl_sim_core::calendar::EventCalendar;
 use ivl_sim_core::config::{IvVariant, SystemConfig};
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
@@ -496,35 +495,30 @@ pub fn run_mix_observed(
     // Scratch buffer for L2→LLC write-backs, reused every iteration so the
     // hot loop never allocates.
     let mut llc_writebacks: Vec<u64> = Vec::new();
-    // Core calendar: each eligible core holds exactly one entry, keyed
-    // `(ready cycle, core index)`, so a pop is the least-advanced core with
-    // lowest-index tie-breaking — the loose global ordering of a linear
-    // `min_by_key` scan, in O(log n).
-    let mut calendar: EventCalendar<usize> = EventCalendar::with_capacity(cores.len());
-    for (i, c) in cores.iter().enumerate() {
-        if c.accesses < measure_total {
-            calendar.schedule(c.now, i as u64, i);
-        }
-    }
-    // Run-until-preempted fast path: when the core that just executed is
-    // still strictly the earliest-keyed runnable core, keep running it
-    // without a schedule/pop round-trip through the heap. Identical
-    // selection order by construction — a fresh entry's sequence number is
-    // larger than every queued one, so a strict key win is exactly the
-    // case where the heap would have returned the same core.
-    let mut next: Option<usize> = None;
-    // Warm-up progress as two counts instead of a scan per event: cores
-    // still below `warmup_total`, and generators not yet `warmed_up()`.
-    // Both predicates are monotone (a core's access count only grows; a
-    // generator's live set stays at its footprint once the spike is over),
-    // so each core and generator is counted off exactly once, right after
-    // the event that carries it across.
+    // Warm-up progress without a scan per event: a count of cores still
+    // below `warmup_total`, and a bitmask of the (four) generators not yet
+    // `warmed_up()`. Both predicates are monotone (a core's access count
+    // only grows; a generator's live set stays at its footprint once the
+    // spike is over), so each core and generator is counted off exactly
+    // once, right after the event that carries it across. The mask is one
+    // word, not a heap `Vec`: see DESIGN.md §6 on setup faults.
     let mut cold_cores = cores.iter().filter(|c| c.accesses < warmup_total).count();
-    let mut gen_warm: Vec<bool> = gens.iter().map(TraceGenerator::warmed_up).collect();
-    let mut cold_gens = gen_warm.iter().filter(|&&w| !w).count();
+    let mut cold_gens: u32 = gens
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| !g.warmed_up())
+        .fold(0, |mask, (i, _)| mask | (1 << i));
 
-    // Least-advanced core executes next (loose global ordering).
-    while let Some(idx) = next.take().or_else(|| calendar.pop().map(|(_, i)| i)) {
+    // Least-advanced core still inside its access budget executes next,
+    // ties to the lowest core index (loose global ordering). A scan over at
+    // most 8 cores; a core past its budget drops out of the filter.
+    while let Some(idx) = cores
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.accesses < measure_total)
+        .min_by_key(|(_, c)| c.now)
+        .map(|(i, _)| i)
+    {
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
         if !measuring && cold_cores == 0 && cold_gens == 0 {
@@ -553,8 +547,7 @@ pub fn run_mix_observed(
         let core = &mut cores[idx];
         let event = gens[core.gen].next_event();
         // Labeled so the cache-hit early exits still fall through to the
-        // requeue below (a plain `continue` would skip rescheduling the
-        // core and stall the calendar).
+        // generator warm-up count below (a plain `continue` would skip it).
         'event: {
             match event {
                 MemEvent::Access {
@@ -706,23 +699,8 @@ pub fn run_mix_observed(
         }
 
         let g = cores[idx].gen;
-        if !gen_warm[g] && gens[g].warmed_up() {
-            gen_warm[g] = true;
-            cold_gens -= 1;
-        }
-
-        // Requeue the core at its new ready cycle; a core past its access
-        // budget simply leaves the calendar. If the core is still strictly
-        // ahead of the calendar head it keeps running without touching the
-        // heap.
-        let c = &cores[idx];
-        if c.accesses < measure_total {
-            let key = (c.now, idx as u64);
-            if calendar.peek_key().is_none_or(|head| key < head) {
-                next = Some(idx);
-            } else {
-                calendar.schedule(c.now, idx as u64, idx);
-            }
+        if cold_gens & (1 << g) != 0 && gens[g].warmed_up() {
+            cold_gens &= !(1 << g);
         }
     }
 
