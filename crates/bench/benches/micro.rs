@@ -6,9 +6,11 @@
 //! state machine, forest page mapping, the integrity-scheme data-access
 //! paths, and the workload generator. Run with `cargo bench -p ivl-bench`;
 //! `IVL_BENCH_QUICK=1` shortens samples for smoke runs, and
-//! `IVL_BENCH_JSON=<path>` mirrors the results into a JSON file (the
-//! checked-in `BENCH_baseline.json` seeds the perf trajectory).
+//! `IVL_BENCH_JSON=<path>` writes the results there as a `BENCH_*.json`
+//! snapshot through `ivl_bench::snapshot` (the checked-in
+//! `BENCH_baseline.json` seeds the perf trajectory).
 
+use ivl_bench::snapshot;
 use ivl_cache::set_assoc::SetAssocCache;
 use ivl_cache::CacheModel;
 use ivl_crypto::aes::Aes128;
@@ -244,5 +246,11 @@ fn main() {
     bench_nfl_and_forest(&mut h);
     bench_scheme_access_paths(&mut h);
     bench_workload_generator(&mut h);
-    h.finish();
+    let results = h.finish();
+    if let Some(path) = std::env::var_os("IVL_BENCH_JSON") {
+        let path = std::path::PathBuf::from(path);
+        std::fs::write(&path, snapshot::to_json("micro", &results))
+            .unwrap_or_else(|e| panic!("write bench JSON to {}: {e}", path.display()));
+        eprintln!("[saved {}]", path.display());
+    }
 }

@@ -17,11 +17,11 @@
 
 use std::process::ExitCode;
 
-use ivl_testkit::bench::parse_results_json;
+use ivl_bench::snapshot;
 
 fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    parse_results_json(&text).map_err(|e| format!("parse {path}: {e}"))
+    snapshot::parse(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
 fn run(baseline_path: &str, fresh_path: &str, threshold: f64) -> Result<bool, String> {
@@ -153,6 +153,18 @@ mod tests {
         let base = write_json(&dir, "base.json", &[("g/a", 100.0), ("g/gone", 1.0)]);
         let fresh = write_json(&dir, "fresh.json", &[("g/a", 100.0)]);
         assert!(run(&base, &fresh, 1.0).unwrap());
+    }
+
+    #[test]
+    fn snapshot_truncated_after_its_first_entry_is_a_parse_error() {
+        let dir = tmpdir("truncated");
+        let base = write_json(&dir, "base.json", &[("g/a", 100.0), ("g/b", 50.0)]);
+        let text = std::fs::read_to_string(&base).unwrap();
+        let cut = text.lines().take(3).collect::<Vec<_>>().join("\n");
+        std::fs::write(&base, cut).unwrap();
+        let fresh = write_json(&dir, "fresh.json", &[("g/a", 100.0)]);
+        // `main` exits 2 on an `Err`.
+        assert!(run(&base, &fresh, 1.0).unwrap_err().starts_with("parse "));
     }
 
     #[test]

@@ -15,9 +15,10 @@ use std::time::Instant;
 use ivl_simulator::{run_mix, MixResult, RunConfig, SchemeKind};
 use ivl_workloads::mixes::{Mix, MIXES};
 
-/// Where figure text outputs land.
 pub mod perf;
+pub mod snapshot;
 
+/// Where figure text outputs land.
 pub fn figures_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
     std::fs::create_dir_all(&dir).expect("create target/figures");

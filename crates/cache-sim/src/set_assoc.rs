@@ -215,14 +215,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Unpins a locked line (leaves it resident).
-    pub fn unlock(&mut self, key: u64) {
-        let set = self.set_index(key);
-        if let Some(w) = self.find(set, key) {
-            self.locked[set] &= !(1 << w);
-        }
-    }
-
     /// Number of locked lines.
     pub fn locked_count(&self) -> usize {
         self.valid
@@ -230,23 +222,6 @@ impl SetAssocCache {
             .zip(self.locked.iter())
             .map(|(v, l)| (v & l).count_ones() as usize)
             .sum()
-    }
-
-    /// Evicts the least-recently-used unlocked line of the set containing
-    /// `key` (used by attack models that perform targeted metadata
-    /// eviction). Returns the victim if one existed.
-    pub fn evict_lru_in_set_of(&mut self, key: u64) -> Option<Evicted> {
-        let set = self.set_index(key);
-        let w = self.lru_way(set, self.valid[set] & !self.locked[set])?;
-        let bit = 1u16 << w;
-        let victim = Evicted {
-            key: self.tags[set * self.ways + w],
-            dirty: self.dirty[set] & bit != 0,
-        };
-        self.valid[set] &= !bit;
-        self.dirty[set] &= !bit;
-        self.locked[set] &= !bit;
-        Some(victim)
     }
 }
 
@@ -391,31 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn unlock_restores_evictability() {
-        let mut c = SetAssocCache::new(1, 1);
-        c.lock(1);
-        assert!(c.access(2, false).bypassed);
-        c.unlock(1);
-        let out = c.access(2, false);
-        assert_eq!(out.evicted.map(|e| e.key), Some(1));
-    }
-
-    #[test]
     fn invalidate_returns_dirtiness() {
         let mut c = SetAssocCache::new(2, 2);
         c.access(4, true);
         assert_eq!(c.invalidate(4), Some(true));
         assert_eq!(c.invalidate(4), None);
-    }
-
-    #[test]
-    fn targeted_set_eviction() {
-        let mut c = SetAssocCache::new(2, 2);
-        c.access(0, false);
-        c.access(2, false);
-        let e = c.evict_lru_in_set_of(0).unwrap();
-        assert_eq!(e.key, 0);
-        assert!(!c.probe(0) && c.probe(2));
     }
 
     #[test]
@@ -546,36 +501,8 @@ mod tests {
                 }
             }
 
-            pub fn unlock(&mut self, key: u64) {
-                let set = self.set_index(key);
-                if let Some(line) = self
-                    .set_lines(set)
-                    .iter_mut()
-                    .find(|l| l.valid && l.key == key)
-                {
-                    line.locked = false;
-                }
-            }
-
             pub fn locked_count(&self) -> usize {
                 self.lines.iter().filter(|l| l.valid && l.locked).count()
-            }
-
-            pub fn evict_lru_in_set_of(&mut self, key: u64) -> Option<Evicted> {
-                let set = self.set_index(key);
-                let ways = self.set_lines(set);
-                let victim = ways
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.valid && !l.locked)
-                    .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| i)?;
-                let line = ways[victim];
-                ways[victim] = EMPTY;
-                Some(Evicted {
-                    key: line.key,
-                    dirty: line.dirty,
-                })
             }
 
             pub fn access(&mut self, key: u64, is_write: bool) -> AccessOutcome {
@@ -668,9 +595,9 @@ mod tests {
     }
 
     /// Packed implementation vs. the old struct-of-lines implementation
-    /// under a randomized op mix (accesses, locks, unlocks, invalidations,
-    /// targeted evictions) across several geometries — every outcome and
-    /// every observable aggregate must agree, including locked-way cases.
+    /// under a randomized op mix (accesses, locks, invalidations) across
+    /// several geometries — every outcome and every observable aggregate
+    /// must agree, including locked-way cases.
     #[test]
     fn differential_against_reference_implementation() {
         // Deterministic splitmix64 stream; no external RNG dependency.
@@ -693,22 +620,11 @@ mod tests {
                     0 => {
                         assert_eq!(packed.lock(key), reference.lock(key), "lock @{step}");
                     }
-                    1 => {
-                        packed.unlock(key);
-                        reference.unlock(key);
-                    }
                     2 => {
                         assert_eq!(
                             packed.invalidate(key),
                             reference.invalidate(key),
                             "invalidate @{step}"
-                        );
-                    }
-                    3 => {
-                        assert_eq!(
-                            packed.evict_lru_in_set_of(key),
-                            reference.evict_lru_in_set_of(key),
-                            "evict_lru @{step}"
                         );
                     }
                     _ => {

@@ -127,12 +127,6 @@ impl GlobalBmtSubsystem {
         &self.layout
     }
 
-    /// Mutable access to the tree metadata cache (the attack model performs
-    /// targeted evictions on it).
-    pub fn tree_cache_mut(&mut self) -> &mut SetAssocCache {
-        &mut self.tree_cache
-    }
-
     /// Whether a given tree node block currently resides in the tree cache.
     pub fn tree_node_cached(&self, node_block: BlockAddr) -> bool {
         self.tree_cache.probe(node_block.index())

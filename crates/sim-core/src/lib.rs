@@ -11,6 +11,8 @@
 //!   the models;
 //! * [`obs`] — the workspace-wide observability layer: dotted-path stats
 //!   registry, cycle-stamped event tracing, per-window timeline;
+//! * [`json`] — the one JSON value, writer and parser behind every file the
+//!   observability layer and the micro-bench snapshots write;
 //! * [`rng`] — a small deterministic PRNG (SplitMix64-seeded xoshiro256**)
 //!   so every experiment in the harness is reproducible bit-for-bit.
 //!
@@ -27,6 +29,7 @@
 pub mod addr;
 pub mod config;
 pub mod domain;
+pub mod json;
 pub mod obs;
 pub mod rng;
 pub mod stats;

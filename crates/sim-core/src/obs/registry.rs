@@ -9,11 +9,13 @@
 //!
 //! Export format: [`StatsRegistry::to_json`] writes a flat JSON object, one
 //! dotted path per key, parseable back with [`StatsRegistry::parse_json`]
-//! (exact round-trip; the `IVL_STATS_JSON` sink uses this).
+//! (exact round-trip through the shared [`json`](crate::json) codec; the
+//! `IVL_STATS_JSON` sink uses this).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Json;
 use crate::stats::HitMiss;
 
 /// One statistic node in the registry.
@@ -64,6 +66,41 @@ impl StatValue {
             (later, _) => later.clone(),
         }
     }
+
+    /// The node as a JSON value (see [`StatsRegistry::to_json`]).
+    fn to_json(&self) -> Json {
+        match self {
+            StatValue::Counter(v) => Json::U64(*v),
+            StatValue::Gauge(v) => Json::F64(*v),
+            StatValue::Ratio { hits, misses } => {
+                Json::object([("hits", Json::U64(*hits)), ("misses", Json::U64(*misses))])
+            }
+            StatValue::Histogram(bins) => Json::Array(bins.iter().map(|&b| Json::U64(b)).collect()),
+        }
+    }
+
+    /// The node a JSON value encodes: the inverse of [`to_json`](Self::to_json).
+    fn from_json(value: &Json) -> Result<StatValue, String> {
+        match value {
+            Json::U64(v) => Ok(StatValue::Counter(*v)),
+            Json::F64(v) => Ok(StatValue::Gauge(*v)),
+            // Ratio object: {"hits": h, "misses": m} in either order.
+            Json::Object(fields) if fields.len() == 2 => {
+                let count = |k| value.get(k).and_then(Json::as_u64);
+                let missing = |k| format!("ratio missing `{k}`");
+                Ok(StatValue::Ratio {
+                    hits: count("hits").ok_or_else(|| missing("hits"))?,
+                    misses: count("misses").ok_or_else(|| missing("misses"))?,
+                })
+            }
+            Json::Array(bins) => bins
+                .iter()
+                .map(|b| b.as_u64().ok_or_else(|| "bad histogram bin".to_string()))
+                .collect::<Result<_, _>>()
+                .map(StatValue::Histogram),
+            _ => Err("expected a counter, gauge, ratio or histogram".to_string()),
+        }
+    }
 }
 
 /// A snapshot of dotted-path statistics.
@@ -109,14 +146,6 @@ impl StatsRegistry {
     /// Sets a counter node.
     pub fn set_counter(&mut self, path: &str, value: u64) {
         self.set(path, StatValue::Counter(value));
-    }
-
-    /// Adds to a counter node (creating it at zero first).
-    pub fn add_counter(&mut self, path: &str, value: u64) {
-        match self.nodes.get_mut(path) {
-            Some(StatValue::Counter(v)) => *v = v.saturating_add(value),
-            _ => self.set_counter(path, value),
-        }
     }
 
     /// Sets a gauge node.
@@ -190,35 +219,20 @@ impl StatsRegistry {
         out
     }
 
-    /// Serializes as a flat JSON object: counters as integers, gauges as
-    /// floats (always containing `.` or an exponent), ratios as
-    /// `{"hits": h, "misses": m}`, histograms as integer arrays. This form
-    /// round-trips exactly through [`parse_json`](Self::parse_json).
+    /// Serializes as a flat JSON object, one path per line: counters as
+    /// integers, gauges as floats (always containing `.` or an exponent),
+    /// ratios as `{"hits": h, "misses": m}`, histograms as integer arrays.
+    /// This form round-trips exactly through [`parse_json`](Self::parse_json).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (path, value)) in self.nodes.iter().enumerate() {
             let comma = if i + 1 < self.nodes.len() { "," } else { "" };
-            let _ = write!(out, "  \"{}\": ", json_escape(path));
-            match value {
-                StatValue::Counter(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                StatValue::Gauge(v) => {
-                    let _ = write!(out, "{}", json_f64(*v));
-                }
-                StatValue::Ratio { hits, misses } => {
-                    let _ = write!(out, "{{\"hits\": {hits}, \"misses\": {misses}}}");
-                }
-                StatValue::Histogram(bins) => {
-                    let _ = write!(out, "[");
-                    for (j, b) in bins.iter().enumerate() {
-                        let sep = if j == 0 { "" } else { ", " };
-                        let _ = write!(out, "{sep}{b}");
-                    }
-                    let _ = write!(out, "]");
-                }
-            }
-            let _ = writeln!(out, "{comma}");
+            let _ = writeln!(
+                out,
+                "  {}: {}{comma}",
+                Json::from(path.clone()),
+                value.to_json()
+            );
         }
         out.push_str("}\n");
         out
@@ -230,198 +244,15 @@ impl StatsRegistry {
     ///
     /// Returns a description of the first malformed construct.
     pub fn parse_json(text: &str) -> Result<StatsRegistry, String> {
-        let mut p = Parser {
-            chars: text.char_indices().peekable(),
-            text,
+        let Json::Object(members) = Json::parse(text).map_err(|e| e.to_string())? else {
+            return Err("expected a JSON object".to_string());
         };
-        p.skip_ws();
-        p.expect('{')?;
         let mut reg = StatsRegistry::new();
-        p.skip_ws();
-        if p.peek() == Some('}') {
-            p.next_char();
-            return Ok(reg);
+        for (path, value) in members {
+            let value = StatValue::from_json(&value).map_err(|e| format!("`{path}`: {e}"))?;
+            reg.nodes.insert(path.into_owned(), value);
         }
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            reg.nodes.insert(key, value);
-            p.skip_ws();
-            match p.next_char() {
-                Some(',') => continue,
-                Some('}') => return Ok(reg),
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0.0".to_string();
-    }
-    // `{:?}` prints the shortest round-tripping decimal and always keeps a
-    // `.` or exponent, so integers and floats stay distinguishable.
-    format!("{v:?}")
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.next_char();
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().map(|(_, c)| *c)
-    }
-
-    fn next_char(&mut self) -> Option<char> {
-        self.chars.next().map(|(_, c)| c)
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.next_char() {
-            Some(c) if c == want => Ok(()),
-            other => Err(format!("expected `{want}`, got {other:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_char() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.next_char() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next_char()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number_token(&mut self) -> Result<String, String> {
-        let mut tok = String::new();
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-        ) {
-            tok.push(self.next_char().expect("peeked"));
-        }
-        if tok.is_empty() {
-            let at = self
-                .chars
-                .peek()
-                .map(|(i, _)| *i)
-                .unwrap_or(self.text.len());
-            return Err(format!("expected a number at byte {at}"));
-        }
-        Ok(tok)
-    }
-
-    fn value(&mut self) -> Result<StatValue, String> {
-        match self.peek() {
-            Some('{') => {
-                // Ratio object: {"hits": h, "misses": m} in either order.
-                self.next_char();
-                let (mut hits, mut misses) = (None, None);
-                loop {
-                    self.skip_ws();
-                    if self.peek() == Some('}') {
-                        self.next_char();
-                        break;
-                    }
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(':')?;
-                    self.skip_ws();
-                    let tok = self.number_token()?;
-                    let v: u64 = tok.parse().map_err(|e| format!("bad ratio field: {e}"))?;
-                    match key.as_str() {
-                        "hits" => hits = Some(v),
-                        "misses" => misses = Some(v),
-                        other => return Err(format!("unknown ratio field `{other}`")),
-                    }
-                    self.skip_ws();
-                    match self.next_char() {
-                        Some(',') => continue,
-                        Some('}') => break,
-                        other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-                    }
-                }
-                Ok(StatValue::Ratio {
-                    hits: hits.ok_or("ratio missing `hits`")?,
-                    misses: misses.ok_or("ratio missing `misses`")?,
-                })
-            }
-            Some('[') => {
-                self.next_char();
-                let mut bins = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.next_char();
-                    return Ok(StatValue::Histogram(bins));
-                }
-                loop {
-                    self.skip_ws();
-                    let tok = self.number_token()?;
-                    bins.push(tok.parse().map_err(|e| format!("bad bin: {e}"))?);
-                    self.skip_ws();
-                    match self.next_char() {
-                        Some(',') => continue,
-                        Some(']') => return Ok(StatValue::Histogram(bins)),
-                        other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                    }
-                }
-            }
-            _ => {
-                let tok = self.number_token()?;
-                if let Ok(v) = tok.parse::<u64>() {
-                    Ok(StatValue::Counter(v))
-                } else {
-                    Ok(StatValue::Gauge(
-                        tok.parse::<f64>().map_err(|e| format!("bad number: {e}"))?,
-                    ))
-                }
-            }
-        }
+        Ok(reg)
     }
 }
 
@@ -462,7 +293,7 @@ mod tests {
     fn delta_subtracts_counters_and_keeps_gauges() {
         let warm = sample();
         let mut end = sample();
-        end.add_counter("dram.reads", 40);
+        end.set_counter("dram.reads", 163);
         end.set_gauge("forest.utilization", 0.5);
         end.set(
             "scheme.tree_cache",

@@ -10,11 +10,14 @@
 //! host.
 //!
 //! [`TimelineData`] is the plain, `Send` snapshot. Export is line-oriented
-//! JSONL (exact round-trip via [`parse_jsonl`]).
+//! JSONL through the shared [`json`](crate::json) codec (exact round-trip
+//! via [`parse_jsonl`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+
+use crate::json::Json;
 
 /// Default window width in simulated cycles (`IVL_TIMELINE_WINDOW`).
 pub const DEFAULT_TIMELINE_WINDOW: u64 = 10_000;
@@ -278,11 +281,6 @@ impl TimelineData {
         }
     }
 
-    /// The window index holding `cycle`.
-    pub fn window_of(&self, cycle: u64) -> u64 {
-        cycle / self.window
-    }
-
     /// True when no series holds any window.
     pub fn is_empty(&self) -> bool {
         self.series.values().all(|s| s.windows.is_empty())
@@ -347,45 +345,45 @@ impl TimelineData {
     /// one line per retained window. Exact round-trip via [`parse_jsonl`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"timeline\":1,\"window\":{},\"cap\":{}}}\n",
-            self.window, self.cap
-        ));
+        let mut line = |members: Vec<(&'static str, Json)>| {
+            Json::object(members).write(&mut out);
+            out.push('\n');
+        };
+        line(vec![
+            ("timeline", Json::U64(1)),
+            ("window", Json::U64(self.window)),
+            ("cap", Json::U64(self.cap as u64)),
+        ]);
         for (name, s) in &self.series {
-            out.push_str(&format!(
-                "{{\"series\":{},\"kind\":\"{}\",\"dropped\":{}}}\n",
-                json_str(name),
-                s.kind.tag(),
-                s.dropped
-            ));
+            let series = || ("series", Json::from(name.clone()));
+            line(vec![
+                series(),
+                ("kind", s.kind.tag().into()),
+                ("dropped", Json::U64(s.dropped)),
+            ]);
             for (wi, cell) in &s.windows {
-                let start = wi.saturating_mul(self.window);
+                let mut members = vec![
+                    series(),
+                    ("w", Json::U64(*wi)),
+                    ("start", Json::U64(wi.saturating_mul(self.window))),
+                ];
                 match cell {
-                    Cell::Counter(v) => out.push_str(&format!(
-                        "{{\"series\":{},\"w\":{wi},\"start\":{start},\"v\":{v}}}\n",
-                        json_str(name)
-                    )),
+                    Cell::Counter(v) => members.push(("v", Json::U64(*v))),
                     Cell::Hist(h) => {
-                        let mut buckets = String::new();
-                        for (b, &c) in h.buckets.iter().enumerate() {
-                            if c > 0 {
-                                if !buckets.is_empty() {
-                                    buckets.push(',');
-                                }
-                                buckets.push_str(&format!("{b}:{c}"));
-                            }
-                        }
-                        out.push_str(&format!(
-                            "{{\"series\":{},\"w\":{wi},\"start\":{start},\"count\":{},\
-                             \"sum\":{},\"min\":{},\"max\":{},\"b\":\"{buckets}\"}}\n",
-                            json_str(name),
-                            h.count,
-                            h.sum,
-                            h.min,
-                            h.max
-                        ));
+                        let buckets: Vec<String> = (h.buckets.iter().enumerate())
+                            .filter(|&(_, &c)| c > 0)
+                            .map(|(b, c)| format!("{b}:{c}"))
+                            .collect();
+                        members.extend([
+                            ("count", Json::U64(h.count)),
+                            ("sum", Json::U64(h.sum)),
+                            ("min", Json::U64(h.min)),
+                            ("max", Json::U64(h.max)),
+                            ("b", buckets.join(",").into()),
+                        ]);
                     }
                 }
+                line(members);
             }
         }
         out
@@ -401,31 +399,36 @@ impl TimelineData {
             .lines()
             .enumerate()
             .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty timeline JSONL")?;
-        let window = field_u64(header, "window").ok_or("header missing \"window\"")?;
-        let cap = field_u64(header, "cap").ok_or("header missing \"cap\"")? as usize;
+        let (ln, header) = lines.next().ok_or("empty timeline JSONL")?;
+        let header = Json::parse(header).map_err(|e| format!("line {}: {e}", ln + 1))?;
+        let header_u64 = |k: &str| header.get(k).and_then(Json::as_u64);
+        let window = header_u64("window").ok_or("header missing \"window\"")?;
+        let cap = header_u64("cap").ok_or("header missing \"cap\"")? as usize;
         let mut data = TimelineData::new(window, cap);
         for (ln, line) in lines {
             let err = |what: &str| format!("line {}: {what}: {line}", ln + 1);
-            let name = field_str(line, "series").ok_or_else(|| err("missing \"series\""))?;
-            if let Some(kind) = field_str(line, "kind") {
-                let kind = SeriesKind::from_tag(&kind).ok_or_else(|| err("unknown series kind"))?;
-                let s = data.series_mut(&name, kind);
-                s.dropped = field_u64(line, "dropped").ok_or_else(|| err("missing \"dropped\""))?;
+            let obj = Json::parse(line).map_err(|e| err(&e.to_string()))?;
+            let field = |k: &str| obj.get(k).and_then(Json::as_u64);
+            let text = |k: &str| obj.get(k).and_then(Json::as_str);
+            let name = text("series").ok_or_else(|| err("missing \"series\""))?;
+            if let Some(kind) = text("kind") {
+                let kind = SeriesKind::from_tag(kind).ok_or_else(|| err("unknown series kind"))?;
+                let s = data.series_mut(name, kind);
+                s.dropped = field("dropped").ok_or_else(|| err("missing \"dropped\""))?;
                 continue;
             }
-            let wi = field_u64(line, "w").ok_or_else(|| err("missing \"w\""))?;
-            let cell = if let Some(v) = field_u64(line, "v") {
+            let wi = field("w").ok_or_else(|| err("missing \"w\""))?;
+            let cell = if let Some(v) = field("v") {
                 Cell::Counter(v)
-            } else if let Some(count) = field_u64(line, "count") {
+            } else if let Some(count) = field("count") {
                 let mut h = HistCell {
                     count,
-                    sum: field_u64(line, "sum").ok_or_else(|| err("missing \"sum\""))?,
-                    min: field_u64(line, "min").ok_or_else(|| err("missing \"min\""))?,
-                    max: field_u64(line, "max").ok_or_else(|| err("missing \"max\""))?,
+                    sum: field("sum").ok_or_else(|| err("missing \"sum\""))?,
+                    min: field("min").ok_or_else(|| err("missing \"min\""))?,
+                    max: field("max").ok_or_else(|| err("missing \"max\""))?,
                     buckets: Box::new([0; HIST_BUCKETS]),
                 };
-                let b = field_str(line, "b").ok_or_else(|| err("missing \"b\""))?;
+                let b = text("b").ok_or_else(|| err("missing \"b\""))?;
                 for pair in b.split(',').filter(|p| !p.is_empty()) {
                     let (bi, c) = pair.split_once(':').ok_or_else(|| err("bad bucket pair"))?;
                     let bi: usize = bi.parse().map_err(|_| err("bad bucket index"))?;
@@ -439,7 +442,7 @@ impl TimelineData {
                 return Err(err("window line has no cell payload"));
             };
             let kind = cell.kind();
-            let s = data.series_mut(&name, kind);
+            let s = data.series_mut(name, kind);
             if s.kind != kind {
                 return Err(err("cell kind conflicts with series meta"));
             }
@@ -470,84 +473,6 @@ pub fn sparkline(values: &[f64]) -> String {
             }
         })
         .collect()
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Extracts `"key":<raw>` from a flat single-line JSON object.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = rest.len();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' if depth > 0 => depth -= 1,
-            ',' | '}' if depth == 0 => {
-                end = i;
-                break;
-            }
-            _ => {}
-        }
-    }
-    Some(rest[..end].trim())
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = field_raw(line, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'u' => {
-                let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-            }
-            other => out.push(other),
-        }
-    }
-    Some(out)
 }
 
 /// The cloneable recorder handle models hold (`!Send`, like the tracer): a

@@ -15,10 +15,10 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::domain::DomainId;
+use crate::json::Json;
 use crate::Cycle;
 
 /// Default ring capacity when `IVL_TRACE_CAP` is unset.
@@ -356,19 +356,17 @@ impl Tracer {
 pub fn records_to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        let _ = write!(
-            out,
-            "{{\"seq\": {}, \"cycle\": {}, \"comp\": \"{}\", \"kind\": \"{}\"",
-            r.seq,
-            r.cycle,
-            r.component,
-            r.kind.tag()
-        );
+        let mut fields = vec![
+            ("seq", Json::U64(r.seq)),
+            ("cycle", Json::U64(r.cycle)),
+            ("comp", r.component.into()),
+            ("kind", r.kind.tag().into()),
+        ];
         if let Some(d) = r.domain {
-            let _ = write!(out, ", \"domain\": {}", d.index());
+            fields.push(("domain", Json::U64(d.index() as u64)));
         }
         if let Some(c) = r.core {
-            let _ = write!(out, ", \"core\": {c}");
+            fields.push(("core", Json::U64(c.into())));
         }
         match &r.kind {
             EventKind::DramAccess {
@@ -377,42 +375,37 @@ pub fn records_to_jsonl(records: &[TraceRecord]) -> String {
                 row,
                 is_write,
                 latency,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"bank\": {bank}, \"row\": \"{}\", \"write\": {is_write}, \"latency\": {latency}",
-                    row.name()
-                );
-            }
+            } => fields.extend([
+                ("channel", Json::U64((*channel).into())),
+                ("bank", Json::U64((*bank).into())),
+                ("row", row.name().into()),
+                ("write", (*is_write).into()),
+                ("latency", Json::U64(*latency)),
+            ]),
             EventKind::CacheAccess {
                 cache,
                 hit,
                 evicted,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"cache\": \"{}\", \"hit\": {hit}, \"evicted\": {evicted}",
-                    cache.name()
-                );
-            }
-            EventKind::TreeWalkLevel { level, hit } => {
-                let _ = write!(out, ", \"level\": {level}, \"hit\": {hit}");
-            }
-            EventKind::NflbAccess { hit } => {
-                let _ = write!(out, ", \"hit\": {hit}");
-            }
+            } => fields.extend([
+                ("cache", cache.name().into()),
+                ("hit", (*hit).into()),
+                ("evicted", (*evicted).into()),
+            ]),
+            EventKind::TreeWalkLevel { level, hit } => fields.extend([
+                ("level", Json::U64((*level).into())),
+                ("hit", (*hit).into()),
+            ]),
+            EventKind::NflbAccess { hit } => fields.push(("hit", (*hit).into())),
             EventKind::NflbEvict | EventKind::PageDealloc => {}
-            EventKind::Probe { bit, latency } => {
-                let _ = write!(out, ", \"bit\": {bit}, \"latency\": {latency}");
-            }
-            EventKind::PageAlloc { failed } => {
-                let _ = write!(out, ", \"failed\": {failed}");
-            }
-            EventKind::Epoch { label } => {
-                let _ = write!(out, ", \"label\": \"{label}\"");
-            }
+            EventKind::Probe { bit, latency } => fields.extend([
+                ("bit", Json::U64((*bit).into())),
+                ("latency", Json::U64(*latency)),
+            ]),
+            EventKind::PageAlloc { failed } => fields.push(("failed", (*failed).into())),
+            EventKind::Epoch { label } => fields.push(("label", (*label).into())),
         }
-        out.push_str("}\n");
+        Json::object(fields).write(&mut out);
+        out.push('\n');
     }
     out
 }
@@ -437,45 +430,26 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, (usize, String)> {
 }
 
 fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let fields = split_flat_object(line)?;
-    let get = |k: &str| {
-        fields
-            .iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v.as_str())
-    };
-    let req = |k: &str| get(k).ok_or_else(|| format!("missing field `{k}`"));
-    let num =
-        |k: &str| -> Result<u64, String> { req(k)?.parse().map_err(|e| format!("bad `{k}`: {e}")) };
-    let boolean = |k: &str| -> Result<bool, String> {
-        req(k)?.parse().map_err(|e| format!("bad `{k}`: {e}"))
-    };
-    let unquote = |v: &str| -> Result<String, String> {
-        let v = v
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| format!("expected string, got `{v}`"))?;
-        Ok(v.to_string())
-    };
-
-    let tag = unquote(req("kind")?)?;
-    let kind = match tag.as_str() {
+    let obj = Json::parse(line).map_err(|e| e.to_string())?;
+    let req = |k: &str| obj.get(k).ok_or_else(|| format!("missing field `{k}`"));
+    let boolean = |k: &str| req(k)?.as_bool().ok_or_else(|| format!("bad `{k}`"));
+    let string = |k: &str| req(k)?.as_str().ok_or_else(|| format!("bad `{k}`"));
+    let kind = match string("kind")? {
         "dram" => EventKind::DramAccess {
-            channel: num("channel")? as u8,
-            bank: num("bank")? as u8,
-            row: RowResult::from_name(&unquote(req("row")?)?)
-                .ok_or_else(|| "bad `row`".to_string())?,
+            channel: int(&obj, "channel")?,
+            bank: int(&obj, "bank")?,
+            row: RowResult::from_name(string("row")?).ok_or_else(|| "bad `row`".to_string())?,
             is_write: boolean("write")?,
-            latency: num("latency")?,
+            latency: int(&obj, "latency")?,
         },
         "cache" => EventKind::CacheAccess {
-            cache: CacheKind::from_name(&unquote(req("cache")?)?)
+            cache: CacheKind::from_name(string("cache")?)
                 .ok_or_else(|| "bad `cache`".to_string())?,
             hit: boolean("hit")?,
             evicted: boolean("evicted")?,
         },
         "tree_walk" => EventKind::TreeWalkLevel {
-            level: num("level")? as u8,
+            level: int(&obj, "level")?,
             hit: boolean("hit")?,
         },
         "nflb" => EventKind::NflbAccess {
@@ -483,34 +457,34 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
         },
         "nflb_evict" => EventKind::NflbEvict,
         "probe" => EventKind::Probe {
-            bit: num("bit")? as u32,
-            latency: num("latency")?,
+            bit: int(&obj, "bit")?,
+            latency: int(&obj, "latency")?,
         },
         "page_alloc" => EventKind::PageAlloc {
             failed: boolean("failed")?,
         },
         "page_dealloc" => EventKind::PageDealloc,
         "epoch" => EventKind::Epoch {
-            label: leak_name(&unquote(req("label")?)?),
+            label: leak_name(string("label")?),
         },
         other => return Err(format!("unknown kind `{other}`")),
     };
-
     Ok(TraceRecord {
-        seq: num("seq")?,
-        cycle: num("cycle")?,
-        component: leak_name(&unquote(req("comp")?)?),
-        domain: get("domain")
-            .map(|v| v.parse::<u16>())
-            .transpose()
-            .map_err(|e| format!("bad `domain`: {e}"))?
+        seq: int(&obj, "seq")?,
+        cycle: int(&obj, "cycle")?,
+        component: leak_name(string("comp")?),
+        domain: (obj.get("domain").map(|_| int::<u16>(&obj, "domain")))
+            .transpose()?
             .and_then(DomainId::new),
-        core: get("core")
-            .map(|v| v.parse::<u8>())
-            .transpose()
-            .map_err(|e| format!("bad `core`: {e}"))?,
+        core: obj.get("core").map(|_| int(&obj, "core")).transpose()?,
         kind,
     })
+}
+
+/// The integer field `k` of a trace line, which must fit `T`.
+fn int<T: TryFrom<u64>>(obj: &Json, k: &str) -> Result<T, String> {
+    let v = obj.get(k).ok_or_else(|| format!("missing field `{k}`"))?;
+    (v.as_u64().and_then(|v| T::try_from(v).ok())).ok_or_else(|| format!("bad `{k}`"))
 }
 
 /// Interns a component/label name as `&'static str`. Only the small fixed
@@ -527,49 +501,6 @@ fn leak_name(name: &str) -> &'static str {
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     known.insert(leaked);
     leaked
-}
-
-/// Splits one flat `{"k": v, ...}` object into `(key, raw_value)` pairs.
-/// Values are either numbers, booleans, or strings without embedded
-/// quotes/commas — all the trace serializer ever writes.
-fn split_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|l| l.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?;
-    let mut fields = Vec::new();
-    for part in split_top_level_commas(body) {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part.split_once(':').ok_or("field missing `:`")?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or("key is not a string")?;
-        fields.push((key.to_string(), value.trim().to_string()));
-    }
-    Ok(fields)
-}
-
-fn split_top_level_commas(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut in_string = false;
-    let mut start = 0;
-    for (i, c) in body.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                parts.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
 }
 
 /// Forensics: the attacker-visible probe observations in a trace, in

@@ -492,9 +492,6 @@ pub fn run_mix_observed(
     // values are end-of-run exports minus these.
     let mut epoch_stats = IvStats::default();
     let mut epoch_reg = StatsRegistry::new();
-    // Scratch buffer for L2→LLC write-backs, reused every iteration so the
-    // hot loop never allocates.
-    let mut llc_writebacks: Vec<u64> = Vec::new();
     // Warm-up progress without a scan per event: a count of cores still
     // below `warmup_total`, and a bitmask of the (four) generators not yet
     // `warmed_up()`. Both predicates are monotone (a core's access count
@@ -586,10 +583,9 @@ pub fn run_mix_observed(
                     if l2.hit {
                         break 'event;
                     }
-                    llc_writebacks.clear();
-                    if let Some(e) = l2.evicted.filter(|e| e.dirty) {
-                        llc_writebacks.push(e.key);
-                    }
+                    // A dirty L2 victim is written back into the LLC after
+                    // the demand access.
+                    let llc_writeback = l2.evicted.filter(|e| e.dirty).map(|e| e.key);
                     core.now += cfg.llc.cache.hit_latency - cfg.core.l2.hit_latency;
                     let llc_out = llc.access(key, is_write);
                     let llc_hit = llc_out.hit;
@@ -625,7 +621,7 @@ pub fn run_mix_observed(
                             true,
                         );
                     }
-                    for wb in llc_writebacks.drain(..) {
+                    if let Some(wb) = llc_writeback {
                         let out = llc.access(wb, true);
                         if tl_on {
                             ivl_cache::timeline_outcome(

@@ -3,13 +3,10 @@
 //! Each benchmark is calibrated (doubling batch sizes until a batch is
 //! long enough to time reliably), warmed up, then timed over a fixed
 //! number of samples. The harness reports per-iteration median, p95 and
-//! throughput lines, and can mirror results into a JSON file for
-//! `BENCH_*.json` perf-trajectory tracking.
+//! throughput lines and returns the statistics to its caller (the
+//! `ivl-bench` micro suite writes them out as a `BENCH_*.json` snapshot).
 //!
-//! Environment knobs:
-//!
-//! * `IVL_BENCH_QUICK=1` — short samples for smoke runs (CI uses this);
-//! * `IVL_BENCH_JSON=<path>` — write results as JSON to `<path>`.
+//! `IVL_BENCH_QUICK=1` selects short samples for smoke runs (CI uses this).
 //!
 //! The clock is pluggable ([`Clock`]): real runs use [`WallClock`]
 //! (`std::time::Instant`), while the harness's own tests inject the
@@ -18,7 +15,6 @@
 
 pub use std::hint::black_box;
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::rng::TestRng;
@@ -91,8 +87,6 @@ pub struct BenchConfig {
     pub samples: usize,
     /// Warmup batches (of `iters_per_sample` iterations) before sampling.
     pub warmup_batches: usize,
-    /// Optional JSON output path.
-    pub json_path: Option<std::path::PathBuf>,
 }
 
 impl BenchConfig {
@@ -102,7 +96,6 @@ impl BenchConfig {
             target_sample_ns: 5_000_000,
             samples: 30,
             warmup_batches: 3,
-            json_path: None,
         }
     }
 
@@ -112,22 +105,19 @@ impl BenchConfig {
             target_sample_ns: 500_000,
             samples: 10,
             warmup_batches: 1,
-            json_path: None,
         }
     }
 
-    /// Reads `IVL_BENCH_QUICK` / `IVL_BENCH_JSON` from the environment.
+    /// Reads `IVL_BENCH_QUICK` from the environment.
     pub fn from_env() -> Self {
         let quick = std::env::var("IVL_BENCH_QUICK")
             .map(|v| v == "1")
             .unwrap_or(false);
-        let mut cfg = if quick {
+        if quick {
             BenchConfig::quick()
         } else {
             BenchConfig::full()
-        };
-        cfg.json_path = std::env::var_os("IVL_BENCH_JSON").map(Into::into);
-        cfg
+        }
     }
 }
 
@@ -267,125 +257,16 @@ impl Harness {
         self.results.last().expect("just pushed")
     }
 
-    /// Finishes the suite: prints a footer, writes JSON if configured,
-    /// and returns all collected statistics.
+    /// Finishes the suite: prints a footer and returns all collected
+    /// statistics.
     pub fn finish(self) -> Vec<BenchStats> {
         println!(
             "suite `{}`: {} benchmark(s) complete",
             self.suite,
             self.results.len()
         );
-        if let Some(path) = &self.config.json_path {
-            let json = results_to_json(&self.suite, &self.results);
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("write bench JSON to {}: {e}", path.display()));
-            eprintln!("[saved {}]", path.display());
-        }
         self.results
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Serializes bench results as a stable, diff-friendly JSON document.
-pub fn results_to_json(suite: &str, results: &[BenchStats]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"suite\": \"{}\",", json_escape(suite));
-    let _ = writeln!(out, "  \"unit\": \"ns_per_iter\",");
-    let _ = writeln!(out, "  \"benches\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"median_ns\": {}, \"p95_ns\": {}, \"mean_ns\": {}, \
-             \"min_ns\": {}, \"max_ns\": {}, \"throughput_per_sec\": {}, \"samples\": {}, \
-             \"iters_per_sample\": {}}}{}",
-            json_escape(&r.full_name()),
-            json_f64(r.median_ns),
-            json_f64(r.p95_ns),
-            json_f64(r.mean_ns),
-            json_f64(r.min_ns),
-            json_f64(r.max_ns),
-            json_f64(r.throughput_per_sec()),
-            r.samples,
-            r.iters_per_sample,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Parses a `BENCH_*.json` document produced by [`results_to_json`] back
-/// into `(full_name, median_ns)` pairs — enough for regression comparison
-/// without a general JSON parser.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed entry encountered.
-pub fn parse_results_json(json: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"name\":") {
-        rest = &rest[pos + "\"name\":".len()..];
-        let open = rest
-            .find('"')
-            .ok_or_else(|| "missing opening quote after \"name\":".to_string())?;
-        rest = &rest[open + 1..];
-        let mut name = String::new();
-        let mut chars = rest.char_indices();
-        let mut consumed = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    consumed = Some(i + 1);
-                    break;
-                }
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => name.push('\n'),
-                    Some((_, e)) => name.push(e),
-                    None => return Err(format!("unterminated escape in name `{name}`")),
-                },
-                c => name.push(c),
-            }
-        }
-        let consumed = consumed.ok_or_else(|| format!("unterminated name `{name}`"))?;
-        rest = &rest[consumed..];
-
-        let mpos = rest
-            .find("\"median_ns\":")
-            .ok_or_else(|| format!("bench `{name}` has no median_ns field"))?;
-        let after = rest[mpos + "\"median_ns\":".len()..].trim_start();
-        let end = after
-            .find([',', '}'])
-            .ok_or_else(|| format!("unterminated median_ns for `{name}`"))?;
-        let median: f64 = after[..end]
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad median_ns for `{name}`: {e}"))?;
-        out.push((name, median));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -421,7 +302,6 @@ mod tests {
             target_sample_ns: 100_000,
             samples: 12,
             warmup_batches: 1,
-            json_path: None,
         };
         let mut h = Harness::with_clock("fixture", cfg, Box::new(FakeClock::seed_from(seed)));
         h.group("g");
@@ -451,46 +331,6 @@ mod tests {
         assert_eq!(percentile(&s, 0.5), 6.0);
         assert_eq!(percentile(&s, 0.95), 10.0);
         assert_eq!(percentile(&s, 1.0), 10.0);
-    }
-
-    #[test]
-    fn json_output_is_well_formed() {
-        let stats = run_fixture(3);
-        let json = results_to_json("fixture", &stats);
-        assert!(json.contains("\"suite\": \"fixture\""));
-        assert!(json.contains("\"name\": \"g/work\""));
-        assert!(json.contains("\"median_ns\": "));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn parse_round_trips_serialized_results() {
-        let stats = run_fixture(5);
-        let json = results_to_json("fixture", &stats);
-        let parsed = parse_results_json(&json).unwrap();
-        assert_eq!(parsed.len(), stats.len());
-        assert_eq!(parsed[0].0, stats[0].full_name());
-        assert!((parsed[0].1 - stats[0].median_ns).abs() < 0.001);
-    }
-
-    #[test]
-    fn parse_handles_escaped_names() {
-        let json = r#"{"benches": [{"name": "g\\h/\"x\"", "median_ns": 12.5}]}"#;
-        let parsed = parse_results_json(json).unwrap();
-        assert_eq!(parsed, vec![("g\\h/\"x\"".to_string(), 12.5)]);
-    }
-
-    #[test]
-    fn parse_rejects_missing_median() {
-        let json = r#"{"benches": [{"name": "a/b", "p95_ns": 1.0}]}"#;
-        assert!(parse_results_json(json).is_err());
-    }
-
-    #[test]
-    fn parse_of_empty_document_is_empty() {
-        assert_eq!(parse_results_json("{}").unwrap(), vec![]);
     }
 
     #[test]

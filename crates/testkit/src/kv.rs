@@ -1,5 +1,5 @@
-//! Key=value configuration serializer over a TOML subset (in-tree `serde`
-//! stand-in for `ivl-sim-core::config`).
+//! Key=value document serializer over a TOML subset (in-tree `serde`
+//! stand-in for the `ivl-leakfuzz` corpus files).
 //!
 //! A document is a flat map from dotted keys (`core.l1.capacity_bytes`)
 //! to scalar values. Serialization groups keys by their dotted prefix

@@ -1,9 +1,9 @@
 //! Deterministic PRNG for the toolkit (SplitMix64-seeded xoshiro256**).
 //!
 //! This intentionally duplicates the tiny generator in
-//! `ivl-sim-core::rng`: the testkit must sit at the bottom of the
-//! dependency graph (every crate, including `ivl-sim-core` itself, depends
-//! on it), so it cannot import the simulator's copy without a cycle.
+//! `ivl-sim-core::rng`: the testkit sits at the bottom of the dependency
+//! graph (`ivl-sim-core` itself uses it for its tests), so it cannot import
+//! the simulator's copy without a cycle.
 
 /// SplitMix64 step: returns `(output, next_state)`.
 pub fn splitmix64(state: u64) -> (u64, u64) {
