@@ -25,6 +25,8 @@
 //! assert!(c.access(0x10, false).hit);
 //! ```
 
+use std::ops::Range;
+
 pub mod cam;
 pub mod randomized;
 pub mod set_assoc;
@@ -139,6 +141,15 @@ pub trait CacheModel {
 
     /// Removes a line if present, returning whether it was dirty.
     fn invalidate(&mut self, key: u64) -> Option<bool>;
+
+    /// Removes every line whose key falls in `keys`, as one
+    /// [`invalidate`](Self::invalidate) per key does, and drops their dirty
+    /// data: the caller discards the whole run (a freed page, say).
+    fn invalidate_range(&mut self, keys: Range<u64>) {
+        for key in keys {
+            self.invalidate(key);
+        }
+    }
 
     /// Number of currently valid lines.
     fn occupancy(&self) -> usize;

@@ -6,6 +6,7 @@ use ivl_cache::CacheModel;
 use ivl_dram::DramModel;
 use ivl_secure_mem::baseline::GlobalBmtSubsystem;
 use ivl_secure_mem::subsystem::{IntegritySubsystem, IvStats, NoProtection};
+use ivl_sim_core::addr::BLOCKS_PER_PAGE;
 use ivl_sim_core::config::{IvVariant, SystemConfig};
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
@@ -680,10 +681,10 @@ pub fn run_mix_observed(
                     // TLB shootdown semantics: a freed page's lines are flushed
                     // from the hierarchy, so no write-back of a dead page can
                     // reach the integrity machinery later.
-                    for b in page.blocks() {
-                        core.l2.invalidate(b.index());
-                        llc.invalidate(b.index());
-                    }
+                    let first = page.block(0).index();
+                    let blocks = first..first + BLOCKS_PER_PAGE as u64;
+                    core.l2.invalidate_range(blocks.clone());
+                    llc.invalidate_range(blocks);
                     let done =
                         scheme
                             .as_subsystem()

@@ -69,6 +69,8 @@ pub struct TraceGenerator {
     footprint_pages: u64,
     rng: Xoshiro256,
     zipf: Zipf,
+    /// Instruction gaps are drawn from `1..=gap_span`, twice the mean gap.
+    gap_span: u64,
     /// Zipf rank → page (rank 0 = hottest).
     allocated: Vec<PageNum>,
     free_frames: Vec<u64>,
@@ -141,7 +143,8 @@ impl TraceGenerator {
             footprint_pages: footprint,
             rng: Xoshiro256::seed_from(seed),
             zipf: Zipf::new(footprint as usize, profile.zipf_s),
-            allocated: Vec::with_capacity(footprint as usize),
+            gap_span: 2 * (1.0 / profile.mem_ops_per_instr).max(1.0) as u64,
+            allocated: Vec::new(),
             free_frames: Vec::new(),
             next_frame: 0,
             pending: VecDeque::new(),
@@ -223,8 +226,7 @@ impl TraceGenerator {
         self.run_block = (self.run_block + 1) % BLOCKS_PER_PAGE;
         self.run_left -= 1;
         let is_write = !self.rng.chance(self.profile.read_ratio);
-        let mean_gap = (1.0 / self.profile.mem_ops_per_instr).max(1.0) as u64;
-        let gap_instrs = 1 + self.rng.next_below(2 * mean_gap);
+        let gap_instrs = 1 + self.rng.next_below(self.gap_span);
         MemEvent::Access {
             block,
             is_write,
