@@ -6,8 +6,10 @@
 //!
 //! * **Hardware** — on x86-64 with AES-NI (runtime-detected once per key
 //!   expansion), [`Aes128::encrypt_block`] uses the `AESENC`/`AESENCLAST`
-//!   instructions. This is the only `unsafe` in the workspace, confined to
-//!   the private `aesni` module and guarded by `is_x86_feature_detected!`.
+//!   instructions. Its `unsafe` is confined to the private `aesni` module
+//!   and guarded by `is_x86_feature_detected!`. The only other `unsafe` in
+//!   the repository is `ivl_testkit::par`'s result slots and the
+//!   benchmark's timestamp-counter read.
 //! * **T-tables** — [`Aes128::encrypt_block_tables`], the portable fast
 //!   path and the fallback when AES-NI is absent. Four 256×u32 T-tables
 //!   (generated by a `const fn` at compile time) fuse SubBytes, ShiftRows
@@ -307,11 +309,11 @@ impl Aes128 {
 
 #[cfg(target_arch = "x86_64")]
 mod aesni {
-    //! Hardware AES round functions. The workspace's only `unsafe` lives
-    //! here: every function requires the `aes` target feature, which
-    //! callers prove via `is_x86_feature_detected!` (cached in
-    //! `Aes128::use_ni`). Round keys arrive pre-expanded in natural FIPS
-    //! byte order, which is exactly the operand layout of `AESENC`.
+    //! Hardware AES round functions. Every function requires the `aes`
+    //! target feature, which callers prove via `is_x86_feature_detected!`
+    //! (cached in `Aes128::use_ni`) before they call in. Round keys
+    //! arrive pre-expanded in natural FIPS byte order, which is exactly the
+    //! operand layout of `AESENC`.
 
     use std::arch::x86_64::{
         __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_storeu_si128,

@@ -32,6 +32,7 @@
 //! assert!(result.weighted_ipc() > 0.0);
 //! ```
 
+mod feed;
 pub mod system;
 
 pub use system::{

@@ -20,6 +20,8 @@ use ivl_workloads::mixes::Mix;
 use ivl_workloads::trace::{MemEvent, TraceGenerator};
 use ivleague::scheme::{AllocatorKind, IvLeagueSubsystem};
 
+use crate::feed::{with_feed, Claim};
+
 /// The schemes the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
@@ -507,133 +509,118 @@ pub fn run_mix_observed(
         .filter(|(_, g)| !g.warmed_up())
         .fold(0, |mask, (i, _)| mask | (1 << i));
 
-    // Least-advanced core still inside its access budget executes next,
-    // ties to the lowest core index (loose global ordering). A scan over at
-    // most 8 cores; a core past its budget drops out of the filter.
-    while let Some(idx) = cores
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.accesses < measure_total)
-        .min_by_key(|(_, c)| c.now)
-        .map(|(i, _)| i)
-    {
-        // Flip to the measurement window once every core leaves warmup and
-        // its footprint is resident.
-        if !measuring && cold_cores == 0 && cold_gens == 0 {
-            measuring = true;
-            epoch_stats = *scheme.stats();
-            export_run_stats(&scheme, &dram, &llc, &cores, &mut epoch_reg);
-            // Clear at the same flip the registry snapshot is taken, so the
-            // timeline's window sums equal the registry's epoch deltas.
-            obs.timeline.clear();
-            if obs.tracer.enabled() {
-                let flip = cores.iter().map(|c| c.now).min().unwrap_or(0);
-                obs.tracer.emit(
-                    flip,
-                    "run",
-                    None,
-                    None,
-                    EventKind::Epoch { label: "measure" },
-                );
+    // The trace feed: a helper thread makes the generators' events when a
+    // CPU is idle, else the loop steps them inline. Either way it takes the
+    // same events in the same order (see `feed`).
+    let claim = Claim::take(measure_total > 0);
+    with_feed(gens, claim.helper(), |feed| {
+        // Least-advanced core still inside its access budget executes next,
+        // ties to the lowest core index (loose global ordering). A scan over at
+        // most 8 cores; a core past its budget drops out of the filter.
+        while let Some(idx) = cores
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.accesses < measure_total)
+            .min_by_key(|(_, c)| c.now)
+            .map(|(i, _)| i)
+        {
+            // Flip to the measurement window once every core leaves warmup and
+            // its footprint is resident.
+            if !measuring && cold_cores == 0 && cold_gens == 0 {
+                measuring = true;
+                epoch_stats = *scheme.stats();
+                export_run_stats(&scheme, &dram, &llc, &cores, &mut epoch_reg);
+                // Clear at the same flip the registry snapshot is taken, so the
+                // timeline's window sums equal the registry's epoch deltas.
+                obs.timeline.clear();
+                if obs.tracer.enabled() {
+                    let flip = cores.iter().map(|c| c.now).min().unwrap_or(0);
+                    obs.tracer.emit(
+                        flip,
+                        "run",
+                        None,
+                        None,
+                        EventKind::Epoch { label: "measure" },
+                    );
+                }
+                for c in &mut cores {
+                    c.measure_start = c.now;
+                    c.measure_instrs_start = c.instrs;
+                }
             }
-            for c in &mut cores {
-                c.measure_start = c.now;
-                c.measure_instrs_start = c.instrs;
-            }
-        }
 
-        let core = &mut cores[idx];
-        let event = gens[core.gen].next_event();
-        // Labeled so the cache-hit early exits still fall through to the
-        // generator warm-up count below (a plain `continue` would skip it).
-        'event: {
-            match event {
-                MemEvent::Access {
-                    block,
-                    is_write,
-                    gap_instrs,
-                } => {
-                    core.accesses += 1;
-                    if core.accesses == warmup_total {
-                        cold_cores -= 1;
-                    }
-                    if measuring {
-                        core_accesses += 1;
-                    }
-                    core.instrs += gap_instrs;
-                    core.now += (gap_instrs as f64 * core.inv_ipc) as Cycle;
+            let core = &mut cores[idx];
+            let event = feed.next_event(core.gen);
+            // Labeled so the cache-hit early exits still fall through to the
+            // generator warm-up count below (a plain `continue` would skip it).
+            'event: {
+                match event {
+                    MemEvent::Access {
+                        block,
+                        is_write,
+                        gap_instrs,
+                    } => {
+                        core.accesses += 1;
+                        if core.accesses == warmup_total {
+                            cold_cores -= 1;
+                        }
+                        if measuring {
+                            core_accesses += 1;
+                        }
+                        core.instrs += gap_instrs;
+                        core.now += (gap_instrs as f64 * core.inv_ipc) as Cycle;
 
-                    // The trace models post-L1 traffic (see ivl-workloads):
-                    // the first hierarchy level consulted is the private L2.
-                    let key = block.index();
-                    core.now += cfg.core.l2.hit_latency;
-                    let l2 = core.l2.access(key, is_write);
-                    if trace_on {
-                        obs.tracer.emit(
-                            core.now,
-                            "cache",
-                            Some(core.domain),
-                            Some(idx as u8),
-                            EventKind::CacheAccess {
-                                cache: CacheKind::L2,
-                                hit: l2.hit,
-                                evicted: l2.evicted.is_some(),
-                            },
-                        );
-                    }
-                    if l2.hit {
-                        break 'event;
-                    }
-                    // A dirty L2 victim is written back into the LLC after
-                    // the demand access.
-                    let llc_writeback = l2.evicted.filter(|e| e.dirty).map(|e| e.key);
-                    core.now += cfg.llc.cache.hit_latency - cfg.core.l2.hit_latency;
-                    let llc_out = llc.access(key, is_write);
-                    let llc_hit = llc_out.hit;
-                    if tl_on {
-                        ivl_cache::timeline_outcome(
-                            &obs.timeline,
-                            core.now,
-                            &llc_out,
-                            "llc.misses",
-                            "llc.evictions",
-                        );
-                    }
-                    if trace_on {
-                        obs.tracer.emit(
-                            core.now,
-                            "cache",
-                            Some(core.domain),
-                            Some(idx as u8),
-                            EventKind::CacheAccess {
-                                cache: CacheKind::Llc,
-                                hit: llc_hit,
-                                evicted: llc_out.evicted.is_some(),
-                            },
-                        );
-                    }
-                    if let Some(e) = llc_out.evicted.filter(|e| e.dirty) {
-                        // LLC dirty eviction: secure write-back to memory.
-                        scheme.as_subsystem().data_access(
-                            core.now,
-                            &mut dram,
-                            ivl_sim_core::addr::BlockAddr::new(e.key),
-                            core.domain,
-                            true,
-                        );
-                    }
-                    if let Some(wb) = llc_writeback {
-                        let out = llc.access(wb, true);
+                        // The trace models post-L1 traffic (see ivl-workloads):
+                        // the first hierarchy level consulted is the private L2.
+                        let key = block.index();
+                        core.now += cfg.core.l2.hit_latency;
+                        let l2 = core.l2.access(key, is_write);
+                        if trace_on {
+                            obs.tracer.emit(
+                                core.now,
+                                "cache",
+                                Some(core.domain),
+                                Some(idx as u8),
+                                EventKind::CacheAccess {
+                                    cache: CacheKind::L2,
+                                    hit: l2.hit,
+                                    evicted: l2.evicted.is_some(),
+                                },
+                            );
+                        }
+                        if l2.hit {
+                            break 'event;
+                        }
+                        // A dirty L2 victim is written back into the LLC after
+                        // the demand access.
+                        let llc_writeback = l2.evicted.filter(|e| e.dirty).map(|e| e.key);
+                        core.now += cfg.llc.cache.hit_latency - cfg.core.l2.hit_latency;
+                        let llc_out = llc.access(key, is_write);
+                        let llc_hit = llc_out.hit;
                         if tl_on {
                             ivl_cache::timeline_outcome(
                                 &obs.timeline,
                                 core.now,
-                                &out,
+                                &llc_out,
                                 "llc.misses",
                                 "llc.evictions",
                             );
                         }
-                        if let Some(e) = out.evicted.filter(|e| e.dirty) {
+                        if trace_on {
+                            obs.tracer.emit(
+                                core.now,
+                                "cache",
+                                Some(core.domain),
+                                Some(idx as u8),
+                                EventKind::CacheAccess {
+                                    cache: CacheKind::Llc,
+                                    hit: llc_hit,
+                                    evicted: llc_out.evicted.is_some(),
+                                },
+                            );
+                        }
+                        if let Some(e) = llc_out.evicted.filter(|e| e.dirty) {
+                            // LLC dirty eviction: secure write-back to memory.
                             scheme.as_subsystem().data_access(
                                 core.now,
                                 &mut dram,
@@ -642,64 +629,89 @@ pub fn run_mix_observed(
                                 true,
                             );
                         }
+                        if let Some(wb) = llc_writeback {
+                            let out = llc.access(wb, true);
+                            if tl_on {
+                                ivl_cache::timeline_outcome(
+                                    &obs.timeline,
+                                    core.now,
+                                    &out,
+                                    "llc.misses",
+                                    "llc.evictions",
+                                );
+                            }
+                            if let Some(e) = out.evicted.filter(|e| e.dirty) {
+                                scheme.as_subsystem().data_access(
+                                    core.now,
+                                    &mut dram,
+                                    ivl_sim_core::addr::BlockAddr::new(e.key),
+                                    core.domain,
+                                    true,
+                                );
+                            }
+                        }
+                        if llc_hit {
+                            break 'event;
+                        }
+                        // LLC miss: the secure memory path.
+                        let done = scheme.as_subsystem().data_access(
+                            core.now,
+                            &mut dram,
+                            block,
+                            core.domain,
+                            is_write,
+                        );
+                        let latency = done.saturating_sub(core.now);
+                        if measuring && !is_write {
+                            llc_miss_reads += 1;
+                            read_latency_sum += latency;
+                        }
+                        // MLP hides service latency but not bandwidth queueing:
+                        // split the observed latency into a service portion (capped)
+                        // that overlaps across outstanding misses, and a queueing
+                        // remainder that throttles the core at full weight.
+                        let service = latency.min(400);
+                        let queueing = latency - service;
+                        core.now += queueing + (service as f64 / core.mlp) as Cycle;
                     }
-                    if llc_hit {
-                        break 'event;
+                    MemEvent::Alloc { page } => {
+                        let done = scheme.as_subsystem().page_alloc(
+                            core.now,
+                            &mut dram,
+                            page,
+                            core.domain,
+                        );
+                        // Page-fault handling overhead (identical across schemes)
+                        // plus the scheme's allocation work.
+                        core.now = done + 200;
+                        core.instrs += 50;
                     }
-                    // LLC miss: the secure memory path.
-                    let done = scheme.as_subsystem().data_access(
-                        core.now,
-                        &mut dram,
-                        block,
-                        core.domain,
-                        is_write,
-                    );
-                    let latency = done.saturating_sub(core.now);
-                    if measuring && !is_write {
-                        llc_miss_reads += 1;
-                        read_latency_sum += latency;
+                    MemEvent::Dealloc { page } => {
+                        // TLB shootdown semantics: a freed page's lines are flushed
+                        // from the hierarchy, so no write-back of a dead page can
+                        // reach the integrity machinery later.
+                        let first = page.block(0).index();
+                        let blocks = first..first + BLOCKS_PER_PAGE as u64;
+                        core.l2.invalidate_range(blocks.clone());
+                        llc.invalidate_range(blocks);
+                        let done = scheme.as_subsystem().page_dealloc(
+                            core.now,
+                            &mut dram,
+                            page,
+                            core.domain,
+                        );
+                        core.now = done + 100;
+                        core.instrs += 30;
                     }
-                    // MLP hides service latency but not bandwidth queueing:
-                    // split the observed latency into a service portion (capped)
-                    // that overlaps across outstanding misses, and a queueing
-                    // remainder that throttles the core at full weight.
-                    let service = latency.min(400);
-                    let queueing = latency - service;
-                    core.now += queueing + (service as f64 / core.mlp) as Cycle;
-                }
-                MemEvent::Alloc { page } => {
-                    let done =
-                        scheme
-                            .as_subsystem()
-                            .page_alloc(core.now, &mut dram, page, core.domain);
-                    // Page-fault handling overhead (identical across schemes)
-                    // plus the scheme's allocation work.
-                    core.now = done + 200;
-                    core.instrs += 50;
-                }
-                MemEvent::Dealloc { page } => {
-                    // TLB shootdown semantics: a freed page's lines are flushed
-                    // from the hierarchy, so no write-back of a dead page can
-                    // reach the integrity machinery later.
-                    let first = page.block(0).index();
-                    let blocks = first..first + BLOCKS_PER_PAGE as u64;
-                    core.l2.invalidate_range(blocks.clone());
-                    llc.invalidate_range(blocks);
-                    let done =
-                        scheme
-                            .as_subsystem()
-                            .page_dealloc(core.now, &mut dram, page, core.domain);
-                    core.now = done + 100;
-                    core.instrs += 30;
                 }
             }
-        }
 
-        let g = cores[idx].gen;
-        if cold_gens & (1 << g) != 0 && gens[g].warmed_up() {
-            cold_gens &= !(1 << g);
+            let g = cores[idx].gen;
+            if cold_gens & (1 << g) != 0 && feed.warmed_up(g) {
+                cold_gens &= !(1 << g);
+            }
         }
-    }
+    });
 
     // Measurement-window statistics: delta against the epoch snapshot
     // instead of having reset the models at the flip.

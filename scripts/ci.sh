@@ -39,8 +39,11 @@
 #  10. benchmark goldens   - the end-to-end benchmark (release only) runs
 #                             its four workloads untraced; each must
 #                             reproduce its seed-2024 golden outputs exactly
+#  11. benchmark tests     - the benchmark's own test suite (release only),
+#                             among them the check that its traced driver
+#                             still reproduces `run_mix` bit for bit
 #
-# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-10
+# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-11
 # with a budgeted leak-search run (IVL_FUZZ_BUDGET_SECS, default 60):
 # `leakfuzz fuzz` exits 2 — failing this script — if any protected scheme
 # shows a distinguishable timing signal. Findings land in target/leakfuzz/
@@ -198,6 +201,13 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
     cargo run --release --offline --quiet \
         --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         --seconds 2 --trace 0
+
+    step "benchmark tests"
+    # The benchmark is a workspace of its own, so step 4 does not reach its
+    # tests; `traced_driver_is_bit_identical_to_run_mix` holds its copy of
+    # the run loop to the program's.
+    cargo test --release --offline \
+        --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 fi
 
 fi # PROFILE_FILTER != fuzz
