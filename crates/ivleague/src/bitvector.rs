@@ -177,7 +177,7 @@ impl BvAllocator {
     }
 
     fn slot_from_index(&self, treeling: TreeLingId, slot_index: usize) -> LeafSlot {
-        let arity = self.geometry.arity as usize;
+        let arity = self.geometry.arity() as usize;
         LeafSlot {
             treeling,
             node: TlNode {
@@ -189,7 +189,7 @@ impl BvAllocator {
     }
 
     fn slot_to_index(&self, slot: LeafSlot) -> usize {
-        slot.node.index as usize * self.geometry.arity as usize + slot.slot as usize
+        slot.node.index as usize * self.geometry.arity() as usize + slot.slot as usize
     }
 
     /// Scans one TreeLing from `start`; returns (slot index, blocks

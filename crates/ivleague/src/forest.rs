@@ -44,7 +44,7 @@ impl ForestConfig {
     /// Builds a forest configuration from the system-level IvLeague config.
     pub fn from_ivleague(cfg: &IvLeagueConfig, arity: u32, variant: IvVariant) -> Self {
         let geometry = TreeLingGeometry::new(arity, cfg.treeling_levels as u32);
-        let top = geometry.nodes_at_level(geometry.levels.saturating_sub(1).max(1));
+        let top = geometry.nodes_at_level(geometry.levels().saturating_sub(1).max(1));
         let hot_top_nodes = ((top as f64 * cfg.hot_region_fraction).ceil() as u32).clamp(1, top);
         ForestConfig {
             geometry,
@@ -82,13 +82,14 @@ impl ForestConfig {
     /// Whether a TreeLing mapping at `frontier` carries a hot region (Pro
     /// frontier-2 TreeLings with a level 3 below the root).
     fn has_hot_region(&self, frontier: u32) -> bool {
-        self.variant == IvVariant::Pro && frontier == 2 && self.geometry.levels >= 4
+        self.variant == IvVariant::Pro && frontier == 2 && self.geometry.levels() >= 4
     }
 
     /// Reserved hot-region nodes at `level` (the hot level-3 nodes and
     /// their subtrees), a prefix of that level's index range.
     fn hot_nodes_at(&self, level: u32) -> u32 {
-        self.hot_top_nodes * self.geometry.arity.pow(self.geometry.levels - 1 - level)
+        let g = self.geometry;
+        self.hot_top_nodes * g.arity().pow(g.levels() - 1 - level)
     }
 
     /// The depth-extension NFL of `treeling` in its pristine state: level-1
@@ -110,7 +111,7 @@ impl ForestConfig {
         Nfl::new(
             (reserved..g.nodes_at_level(1))
                 .map(|index| self.node_key(treeling, TlNode { level: 1, index })),
-            g.arity as u8,
+            g.arity() as u8,
             self.nfl_entries_per_block,
         )
     }
@@ -160,9 +161,12 @@ impl SlotContent {
 #[derive(Debug)]
 struct TreeLingState {
     owner: DomainId,
-    /// Slot words, `slots[node_offset * arity + slot]`. Levels are laid
-    /// out root-first, so the level-1 region comes last and stays
-    /// untouched (and its zeroed pages unfaulted) until depth extension.
+    /// Slot words, `slots[node_offset * arity + slot]`, read and written
+    /// through [`word`](Self::word) and [`set_word`](Self::set_word).
+    /// Levels are laid out root-first, so the level-1 region comes last.
+    /// A TreeLing mapping above level 1 holds only the prefix before it
+    /// (an eighth of the words at arity 8); the first write into level 1,
+    /// which only depth extension makes, grows the words to full length.
     slots: Vec<u32>,
     /// Primary NFL (leaves for Basic; the frontier level for Invert/Pro).
     nfl: Nfl,
@@ -184,6 +188,23 @@ struct TreeLingState {
 }
 
 impl TreeLingState {
+    /// Slot word `idx`. A word past the allocated prefix is [`FREE`], as
+    /// it would be in a full-length array.
+    #[inline]
+    fn word(&self, idx: usize) -> u32 {
+        self.slots.get(idx).copied().unwrap_or(FREE)
+    }
+
+    /// Sets slot word `idx`, first growing the words to `full_len` when
+    /// `idx` lies past the allocated prefix.
+    #[inline]
+    fn set_word(&mut self, idx: usize, word: u32, full_len: usize) {
+        if idx >= self.slots.len() {
+            self.slots.resize(full_len, FREE);
+        }
+        self.slots[idx] = word;
+    }
+
     /// The NFL serving `region`, building the depth NFL on first use.
     /// `None` when this TreeLing has no such region.
     fn region_nfl(
@@ -503,7 +524,7 @@ impl Forest {
     // ------------------------------------------------------------------
 
     fn slot_idx(&self, node: TlNode, slot: u8) -> usize {
-        self.cfg.geometry.node_offset(node) as usize * self.cfg.geometry.arity as usize
+        self.cfg.geometry.node_offset(node) as usize * self.cfg.geometry.arity() as usize
             + slot as usize
     }
 
@@ -512,7 +533,7 @@ impl Forest {
         // cross-TreeLing NFL availability; report such slots as structural
         // (non-Free) so allocation skips them.
         match self.treelings.get(&s.treeling) {
-            Some(state) => SlotContent::from_word(state.slots[self.slot_idx(s.node, s.slot)]),
+            Some(state) => SlotContent::from_word(state.word(self.slot_idx(s.node, s.slot))),
             None => SlotContent::Parent,
         }
     }
@@ -557,11 +578,22 @@ impl Forest {
     }
 
     fn set_slot_state(&mut self, s: LeafSlot, content: SlotContent) {
+        self.set_slot_word(s, content.word());
+    }
+
+    fn set_slot_word(&mut self, s: LeafSlot, word: u32) {
         let idx = self.slot_idx(s.node, s.slot);
+        let full_len = self.slot_words();
         self.treelings
             .get_mut(&s.treeling)
             .expect("treeling active")
-            .slots[idx] = content.word();
+            .set_word(idx, word, full_len);
+    }
+
+    /// Slot words of a full TreeLing, every level included.
+    fn slot_words(&self) -> usize {
+        let g = self.cfg.geometry;
+        g.nodes_per_treeling() as usize * g.arity() as usize
     }
 
     fn in_hot_region(&self, node: TlNode) -> bool {
@@ -569,7 +601,7 @@ impl Forest {
             return false;
         }
         let g = self.cfg.geometry;
-        if g.levels < 4 || node.level != 3 {
+        if g.levels() < 4 || node.level != 3 {
             return false;
         }
         node.index < self.cfg.hot_nodes_at(3)
@@ -588,7 +620,7 @@ impl Forest {
         match self.cfg.variant {
             IvVariant::Basic => 1,
             IvVariant::Invert | IvVariant::Pro => {
-                let top = g.levels.saturating_sub(1).max(1);
+                let top = g.levels().saturating_sub(1).max(1);
                 top.saturating_sub(nth as u32).max(2.min(top))
             }
         }
@@ -605,7 +637,7 @@ impl Forest {
     fn init_treeling(&mut self, treeling: TreeLingId, owner: DomainId) {
         let cfg = self.cfg;
         let g = cfg.geometry;
-        let arity = g.arity as usize;
+        let arity = g.arity() as usize;
         // `assign` ran before `init_treeling`, so the ordinal of this
         // TreeLing within the domain is len - 1.
         let nth = self.controller.treelings_of(owner).len().saturating_sub(1);
@@ -614,20 +646,24 @@ impl Forest {
         // Zeroed words are Free. Root-first layout puts every level above
         // the frontier in one prefix: the static parent structure (the
         // frontier → frontier-1 boundary uses dynamic conversion, i.e.
-        // depth extension).
-        let mut slots = vec![FREE; g.nodes_per_treeling() as usize * arity];
-        let frontier_start = g.node_offset(TlNode {
-            level: frontier,
-            index: 0,
-        }) as usize;
-        slots[..frontier_start * arity].fill(PARENT);
+        // depth extension). A TreeLing mapping above level 1 gets the
+        // words before level 1 only; `set_word` adds the rest on the
+        // first depth-extension write.
+        let level_start = |level| g.node_offset(TlNode { level, index: 0 }) as usize * arity;
+        let len = if frontier == 1 {
+            self.slot_words()
+        } else {
+            level_start(1)
+        };
+        let mut slots = vec![FREE; len];
+        slots[..level_start(frontier)].fill(PARENT);
 
         // Regular region: the frontier level (the leaves under Basic),
         // under static parents. Pro skips the reserved hot-region prefix on
         // frontier-2 TreeLings (§VII-B). Invert/Pro fill in reverse so
         // depth extension converts the coldest (last-filled) slots first.
         let level = frontier;
-        let first = if cfg.variant == IvVariant::Pro && frontier == 2 && 2 < g.levels {
+        let first = if cfg.variant == IvVariant::Pro && frontier == 2 && 2 < g.levels() {
             cfg.hot_nodes_at(2)
         } else {
             0
@@ -643,7 +679,7 @@ impl Forest {
                 };
                 cfg.node_key(treeling, TlNode { level, index })
             }),
-            g.arity as u8,
+            g.arity() as u8,
             cfg.nfl_entries_per_block,
         );
 
@@ -661,7 +697,7 @@ impl Forest {
             slots[start * arity..(start + reserved as usize) * arity].fill(FREE);
             Nfl::new(
                 (0..reserved).map(|index| cfg.node_key(treeling, TlNode { level: 3, index })),
-                g.arity as u8,
+                g.arity() as u8,
                 cfg.nfl_entries_per_block,
             )
         });
@@ -673,8 +709,8 @@ impl Forest {
                 nfl,
                 mapped: 0,
                 frontier,
-                top_capacity: count as u64 * g.arity as u64,
-                deep: cfg.variant != IvVariant::Basic && frontier == 2 && g.levels >= 2,
+                top_capacity: count as u64 * g.arity() as u64,
+                deep: cfg.variant != IvVariant::Basic && frontier == 2 && g.levels() >= 2,
                 nfl_depth: None,
                 nfl_hot,
             },
@@ -885,11 +921,7 @@ impl Forest {
             self.open_parent_chain(domain, slot, &mut ops, &mut remapped);
         }
 
-        let idx = self.slot_idx(slot.node, slot.slot);
-        self.treelings
-            .get_mut(&slot.treeling)
-            .expect("treeling active")
-            .slots[idx] = word;
+        self.set_slot_word(slot, word);
         let prev = self.pages.insert(page, PageEntry::new(slot, domain));
         assert!(prev.is_none(), "page {page} double-mapped");
         self.bump_mapped(slot.treeling, 1);
@@ -1138,7 +1170,7 @@ impl Forest {
                 None => return false,
             }
         }
-        let arity = self.cfg.geometry.arity as usize;
+        let arity = self.cfg.geometry.arity() as usize;
         for (t, state) in self.treelings.slots.iter().enumerate() {
             let Some(state) = state else { continue };
             if state.mapped != per_treeling[t] {
@@ -1249,6 +1281,55 @@ mod tests {
         assert!(saw_leaf, "depth extension must reach level 1");
         assert!(f.stats().conversions > before, "extension converts slots");
         assert!(f.verify_isolation());
+    }
+
+    /// Slot words `f` holds for `t`.
+    fn words_held(f: &Forest, t: TreeLingId) -> usize {
+        f.treelings[&t].slots.len()
+    }
+
+    #[test]
+    fn level1_words_are_allocated_on_the_first_leaf_mapping() {
+        for variant in [IvVariant::Invert, IvVariant::Pro] {
+            let cfg = ForestConfig::small_for_tests(variant);
+            let g = cfg.geometry;
+            let arity = g.arity() as usize;
+            let full = g.nodes_per_treeling() as usize * arity;
+            let above_leaves = g.node_offset(TlNode { level: 1, index: 0 }) as usize * arity;
+            let mut f = Forest::new(cfg);
+            let mut with_leaves = std::collections::HashSet::new();
+            // Map until the forest starves: breadth first, then depth
+            // extension into the leaves of the frontier-2 TreeLings.
+            for i in 0.. {
+                let Ok(out) = f.map_page(d(0), p(i)) else {
+                    break;
+                };
+                // A conversion may move displaced pages into level 1 too.
+                for q in out.remapped.iter().copied().chain([p(i)]) {
+                    let slot = f.slot_of(q).unwrap();
+                    if slot.node.level == 1 {
+                        with_leaves.insert(slot.treeling);
+                    }
+                }
+                for &t in f.treelings_of(d(0)) {
+                    assert!(f.frontier_of(t).unwrap() >= 2);
+                    let want = if with_leaves.contains(&t) {
+                        full
+                    } else {
+                        above_leaves
+                    };
+                    assert_eq!(words_held(&f, t), want, "{variant:?} {t} after {i}");
+                }
+            }
+            assert!(!with_leaves.is_empty(), "{variant:?} reached level 1");
+            assert!(f.mapping_consistent());
+        }
+        // Basic maps at the leaves, so it holds every word from init.
+        let cfg = ForestConfig::small_for_tests(IvVariant::Basic);
+        let full = cfg.geometry.nodes_per_treeling() as usize * cfg.geometry.arity() as usize;
+        let mut f = Forest::new(cfg);
+        let t = f.map_page(d(0), p(0)).unwrap().slot.treeling;
+        assert_eq!(words_held(&f, t), full);
     }
 
     #[test]

@@ -47,13 +47,22 @@ pub struct LeafSlot {
     pub slot: u8,
 }
 
+/// Deepest TreeLing the offset table holds (Fig 20a sweeps 4..=6 levels).
+const MAX_LEVELS: u32 = 15;
+
 /// Shape of every TreeLing in the system.
+///
+/// Node addressing is table-driven: [`new`](Self::new) stores where each
+/// level starts in the root-first dense layout, so
+/// [`node_offset`](Self::node_offset), on the integrity walk's hot path,
+/// is a bounds check, a load and an add.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeLingGeometry {
-    /// Tree arity (slots per node).
-    pub arity: u32,
-    /// Levels of nodes (root inclusive).
-    pub levels: u32,
+    arity: u32,
+    levels: u32,
+    /// `first[l]`: dense offset of node 0 at level `l` (`1..=levels`);
+    /// `first[0]` is the node count, the end of level 1.
+    first: [u32; MAX_LEVELS as usize + 1],
 }
 
 impl TreeLingGeometry {
@@ -61,11 +70,45 @@ impl TreeLingGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `arity < 2` or `levels == 0`.
+    /// Panics if `arity < 2`, `levels` is out of `1..=15`, or the
+    /// node count does not fit a `u32`.
     pub fn new(arity: u32, levels: u32) -> Self {
         assert!(arity >= 2, "arity must be >= 2");
-        assert!(levels >= 1, "need at least one level");
-        TreeLingGeometry { arity, levels }
+        assert!(
+            (1..=MAX_LEVELS).contains(&levels),
+            "levels must be in 1..={MAX_LEVELS}"
+        );
+        let mut first = [0u32; MAX_LEVELS as usize + 1];
+        // `nodes` counts the nodes of level `level + 1`, the root's first.
+        let mut nodes = 1u32;
+        for level in (1..levels as usize).rev() {
+            first[level] = first[level + 1]
+                .checked_add(nodes)
+                .expect("TreeLing node count overflows u32");
+            nodes = nodes
+                .checked_mul(arity)
+                .expect("TreeLing node count overflows u32");
+        }
+        first[0] = first[1]
+            .checked_add(nodes)
+            .expect("TreeLing node count overflows u32");
+        TreeLingGeometry {
+            arity,
+            levels,
+            first,
+        }
+    }
+
+    /// Tree arity (slots per node).
+    #[inline]
+    pub fn arity(&self) -> u32 {
+        self.arity
+    }
+
+    /// Levels of nodes (root inclusive).
+    #[inline]
+    pub fn levels(&self) -> u32 {
+        self.levels
     }
 
     /// Nodes at `level` (`arity^(levels - level)`).
@@ -73,14 +116,16 @@ impl TreeLingGeometry {
     /// # Panics
     ///
     /// Panics if `level` is out of `1..=levels`.
+    #[inline]
     pub fn nodes_at_level(&self, level: u32) -> u32 {
         assert!((1..=self.levels).contains(&level), "level out of range");
-        self.arity.pow(self.levels - level)
+        self.first[level as usize - 1] - self.first[level as usize]
     }
 
     /// Total node blocks per TreeLing (all levels, root included).
+    #[inline]
     pub fn nodes_per_treeling(&self) -> u32 {
-        (1..=self.levels).map(|l| self.nodes_at_level(l)).sum()
+        self.first[0]
     }
 
     /// Page-mapping capacity when only leaves hold pages (IvLeague-Basic):
@@ -100,12 +145,10 @@ impl TreeLingGeometry {
     /// # Panics
     ///
     /// Panics if the node is out of range.
+    #[inline]
     pub fn node_offset(&self, node: TlNode) -> u32 {
         assert!(node.index < self.nodes_at_level(node.level), "node index");
-        let above: u32 = (node.level + 1..=self.levels)
-            .map(|l| self.nodes_at_level(l))
-            .sum();
-        above + node.index
+        self.first[node.level as usize] + node.index
     }
 
     /// Inverse of [`node_offset`](Self::node_offset): recovers the node from
@@ -115,18 +158,19 @@ impl TreeLingGeometry {
     ///
     /// Panics if `offset >= nodes_per_treeling()`.
     pub fn node_from_offset(&self, offset: u32) -> TlNode {
-        let mut remaining = offset;
-        for level in (1..=self.levels).rev() {
-            let count = self.nodes_at_level(level);
-            if remaining < count {
-                return TlNode {
-                    level,
-                    index: remaining,
-                };
-            }
-            remaining -= count;
+        assert!(
+            offset < self.nodes_per_treeling(),
+            "offset {offset} out of range"
+        );
+        // Levels start at ascending offsets from the root down, so the
+        // node's level is the lowest-numbered one starting at or before it.
+        let level = (1..=self.levels)
+            .find(|&l| self.first[l as usize] <= offset)
+            .expect("the root starts at offset 0");
+        TlNode {
+            level,
+            index: offset - self.first[level as usize],
         }
-        panic!("offset {offset} out of range");
     }
 
     /// Parent of `node` within the same TreeLing, `None` for the root.
@@ -309,6 +353,46 @@ mod tests {
             }
         }
         assert_eq!(seen.len() as u32, g.nodes_per_treeling());
+    }
+
+    /// The offset table against its definition, `node_offset` = nodes on
+    /// the levels above plus the index, with `nodes_at_level` a power of
+    /// the arity. Covers the figures' arity 8 at Fig 20a's 4, 5 and 6
+    /// levels, and the arities and depths the tests use.
+    #[test]
+    fn offset_table_matches_summed_powers() {
+        for arity in 2..=8u32 {
+            for levels in 1..=6u32 {
+                let g = TreeLingGeometry::new(arity, levels);
+                let nodes = |l: u32| arity.pow(levels - l);
+                assert_eq!(g.nodes_per_treeling(), (1..=levels).map(nodes).sum());
+                let mut offset = 0;
+                for level in (1..=levels).rev() {
+                    assert_eq!(g.nodes_at_level(level), nodes(level));
+                    let above: u32 = (level + 1..=levels).map(nodes).sum();
+                    for index in 0..nodes(level) {
+                        let node = TlNode { level, index };
+                        assert_eq!(g.node_offset(node), above + index);
+                        assert_eq!(g.node_offset(node), offset, "dense, root first");
+                        assert_eq!(g.node_from_offset(offset), node);
+                        offset += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "levels must be in")]
+    fn levels_beyond_the_table_are_rejected() {
+        TreeLingGeometry::new(2, MAX_LEVELS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn offset_past_the_last_leaf_is_rejected() {
+        let g = geom();
+        g.node_from_offset(g.nodes_per_treeling());
     }
 
     #[test]

@@ -533,7 +533,7 @@ impl IvLeagueSubsystem {
         // above); the ablation re-opens the shared evictable block.
         if node.is_none() && !self.lock_upper {
             let upper = self.tl_layout.upper_structure_blocks()[(slot.treeling.0 as usize
-                / g.arity as usize)
+                / g.arity() as usize)
                 .min(self.tl_layout.upper_structure_blocks().len() - 1)];
             let out = self.tree_cache.access(upper.index(), is_write);
             let hit = out.hit;

@@ -138,8 +138,8 @@ impl IvMemory {
         mac_key: [u8; 16],
         tree_key: [u8; 16],
     ) -> Self {
-        let arity = cfg.geometry.arity as usize;
-        let root_level = cfg.geometry.levels;
+        let arity = cfg.geometry.arity() as usize;
+        let root_level = cfg.geometry.levels();
         IvMemory {
             forest: Forest::new(cfg),
             enc: CtrEngine::new(enc_key),

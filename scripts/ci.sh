@@ -39,11 +39,15 @@
 #  10. benchmark goldens   - the end-to-end benchmark (release only) runs
 #                             its four workloads untraced; each must
 #                             reproduce its seed-2024 golden outputs exactly
-#  11. benchmark tests     - the benchmark's own test suite (release only),
+#  11. benchmark memory    - the same run's steady-large peak_rss_mib must
+#                             stay within 45 MiB (release only); peak RSS
+#                             repeats across runs, unlike wall time, so a
+#                             memory regression fails here on any runner
+#  12. benchmark tests     - the benchmark's own test suite (release only),
 #                             among them the check that its traced driver
 #                             still reproduces `run_mix` bit for bit
 #
-# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-11
+# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-12
 # with a budgeted leak-search run (IVL_FUZZ_BUDGET_SECS, default 60):
 # `leakfuzz fuzz` exits 2 — failing this script — if any protected scheme
 # shows a distinguishable timing signal. Findings land in target/leakfuzz/
@@ -198,9 +202,29 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
     # seed-2024 goldens (exit 1 otherwise). `--trace 0` skips the traced
     # pass: its per-point layer split depends on host timing, not on the
     # simulator's outputs.
+    GOLDEN_LOG="$(pwd)/target/benchmark_goldens.log"
     cargo run --release --offline --quiet \
         --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
-        --seconds 2 --trace 0
+        --seconds 2 --trace 0 | tee "$GOLDEN_LOG"
+
+    step "benchmark memory gate (steady-large peak RSS)"
+    # The run's last stdout line is its JSON summary. L-1 under Baseline
+    # then IvLeague-Pro peaks at about 34-36 MiB (1-2 CPUs); it peaked at
+    # 52-54 MiB while every TreeLing allocated its level-1 slot words up
+    # front (DESIGN §6, "One word per slot").
+    RSS_LIMIT_MIB=45
+    STEADY_LARGE_RSS=$(tail -n 1 "$GOLDEN_LOG" \
+        | grep -o '"steady-large\.peak_rss_mib": {"value": [0-9.eE+-]*' \
+        | awk '{ print $NF }')
+    if [ -z "$STEADY_LARGE_RSS" ]; then
+        echo "FAIL: no steady-large.peak_rss_mib in the benchmark's summary line" >&2
+        exit 1
+    fi
+    echo "steady-large peak_rss_mib ${STEADY_LARGE_RSS} MiB (limit ${RSS_LIMIT_MIB} MiB)"
+    if awk -v v="$STEADY_LARGE_RSS" -v l="$RSS_LIMIT_MIB" 'BEGIN { exit !(v > l) }'; then
+        echo "FAIL: steady-large peak RSS exceeds ${RSS_LIMIT_MIB} MiB" >&2
+        exit 1
+    fi
 
     step "benchmark tests"
     # The benchmark is a workspace of its own, so step 4 does not reach its
