@@ -28,7 +28,7 @@ fn sweep_rows(
     run: &ivl_simulator::RunConfig,
     ref_ipc: &[f64],
 ) -> String {
-    let workers = ivl_testkit::par::available_workers();
+    let workers = ivl_bench::available_workers();
     let ipcs = run_points(
         points,
         workers,

@@ -1,7 +1,7 @@
-//! Campaign determinism: the work-stealing parallel runner must be
-//! invisible in the results. Every (mix, scheme) simulation owns its
-//! models and PRNG streams, so a serial sweep and a stolen-to-pieces
-//! parallel sweep of the same matrix must produce **bit-identical**
+//! Campaign determinism: the parallel campaign pool must be invisible in
+//! the results. Every (mix, scheme) simulation owns its models and PRNG
+//! streams, so a serial sweep and a parallel sweep of the same matrix,
+//! whose points finish in any order, must produce **bit-identical**
 //! `MixResult`s — any divergence means shared mutable state leaked into
 //! the simulation (or a nondeterministic map iteration started steering
 //! timing), which would also poison figure reproducibility.

@@ -8,8 +8,8 @@
 //!   expansion), [`Aes128::encrypt_block`] uses the `AESENC`/`AESENCLAST`
 //!   instructions. Its `unsafe` is confined to the private `aesni` module
 //!   and guarded by `is_x86_feature_detected!`. The only other `unsafe` in
-//!   the repository is `ivl_testkit::par`'s result slots and the
-//!   benchmark's timestamp-counter read.
+//!   the repository is the benchmark's timestamp-counter read;
+//!   `scripts/ci.sh` fails if `unsafe` appears in any other file.
 //! * **T-tables** — [`Aes128::encrypt_block_tables`], the portable fast
 //!   path and the fallback when AES-NI is absent. Four 256×u32 T-tables
 //!   (generated by a `const fn` at compile time) fuse SubBytes, ShiftRows

@@ -58,7 +58,7 @@ fn usage() -> ExitCode {
 
 /// Re-runs a finding's program with tracing and the windowed timeline live
 /// and dumps both — the forensic artifacts the nightly job uploads next to
-/// the `.kv`. The timeline lands beside the trace with a `.timeline.jsonl`
+/// the `.json`. The timeline lands beside the trace with a `.timeline.jsonl`
 /// suffix, turning the raw counterexample into a metrics-over-time
 /// narrative (DRAM, LLC, walk-leg series around the probe window).
 fn dump_trace(finding: &Finding, cfg: &HarnessConfig, path: &Path) -> std::io::Result<()> {
@@ -144,8 +144,8 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
             leaky: vec![finding.scheme],
             clean: Vec::new(),
         };
-        if let Err(e) = entry.save(&out.join(format!("{stem}.kv"))) {
-            eprintln!("warning: could not save {stem}.kv: {e}");
+        if let Err(e) = entry.save(&out.join(format!("{stem}.json"))) {
+            eprintln!("warning: could not save {stem}.json: {e}");
         }
         if let Err(e) = dump_trace(finding, &harness, &out.join(format!("{stem}.trace.jsonl"))) {
             eprintln!("warning: could not dump {stem} trace: {e}");
@@ -197,7 +197,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or_else(corpus::default_corpus_dir);
     let entries = corpus::load_dir(&dir)?;
     if entries.is_empty() {
-        return Err(format!("no .kv entries under {}", dir.display()));
+        return Err(format!("no .json entries under {}", dir.display()));
     }
     let cfg = HarnessConfig::default();
     let mut violations = Vec::new();
@@ -232,7 +232,7 @@ fn cmd_show(args: &[String]) -> Result<ExitCode, String> {
         .find(|a| !a.starts_with("--"))
         .ok_or("show wants a corpus file path")?;
     let entry = CorpusEntry::load(Path::new(path))?;
-    print!("{}", entry.to_kv_string());
+    print!("{}", entry.to_json());
     println!();
     let cfg = HarnessConfig {
         rounds_per_class: entry.rounds_per_class,
@@ -257,7 +257,7 @@ fn cmd_seed_corpus(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or_else(corpus::default_corpus_dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let entry = corpus::metaleak_entry();
-    let path = dir.join(format!("{}.kv", entry.name));
+    let path = dir.join(format!("{}.json", entry.name));
     entry
         .save(&path)
         .map_err(|e| format!("{}: {e}", path.display()))?;

@@ -1,5 +1,5 @@
 //! The counterexample corpus: shrunk leak programs checked into
-//! `crates/leakfuzz/corpus/*.kv` and replayed by CI.
+//! `crates/leakfuzz/corpus/*.json` and replayed by CI.
 //!
 //! Each entry records a minimal [`AccessProgram`] together with the
 //! schemes it is *expected* to flag on (`leaky`) and the schemes it must
@@ -11,14 +11,17 @@
 //! * a `clean` scheme starting to flag means an isolation regression —
 //!   the exact bug class IvLeague exists to prevent.
 //!
-//! Files are `ivl_testkit::kv` documents (a TOML subset), so entries are
-//! hand-auditable and diff-friendly.
+//! Files are JSON documents written through [`ivl_sim_core::json`], one
+//! top-level member per line, so entries are hand-auditable and diff
+//! line by line. The program's ops are strings in the grammar of
+//! [`crate::program`]. A malformed entry is rejected with the file and the
+//! member it concerns, such as `seed` or `program.prep[2]`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use ivl_sim_core::json::Json;
 use ivl_simulator::system::SchemeKind;
-use ivl_testkit::kv::{KvDoc, KvError};
 
 use crate::harness::{run_program, HarnessConfig};
 use crate::program::AccessProgram;
@@ -42,78 +45,90 @@ pub struct CorpusEntry {
     pub clean: Vec<SchemeKind>,
 }
 
-fn labels(kinds: &[SchemeKind]) -> String {
-    kinds
-        .iter()
-        .map(|k| k.label())
-        .collect::<Vec<_>>()
-        .join(",")
+fn labels(kinds: &[SchemeKind]) -> Json {
+    Json::Array(kinds.iter().map(|k| k.label().into()).collect())
 }
 
-// Seeds are full-range u64 (often above i64::MAX, which the kv integer
-// type cannot hold), so they serialize as hex strings.
-fn parse_seed(text: &str) -> Result<u64, KvError> {
-    let t = text.trim();
-    let parsed = match t.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => t.parse(),
+/// The member `key` of the entry document, or an error naming it.
+fn member<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+    doc.get(key).ok_or_else(|| format!("{key}: missing"))
+}
+
+fn parse_u64(doc: &Json, key: &str) -> Result<u64, String> {
+    (member(doc, key)?.as_u64()).ok_or_else(|| format!("{key}: expected an unsigned integer"))
+}
+
+fn parse_string(doc: &Json, key: &str) -> Result<String, String> {
+    let text = member(doc, key)?.as_str();
+    text.map(str::to_string)
+        .ok_or_else(|| format!("{key}: expected a string"))
+}
+
+fn parse_labels(doc: &Json, key: &str) -> Result<Vec<SchemeKind>, String> {
+    let Json::Array(items) = member(doc, key)? else {
+        return Err(format!("{key}: expected an array of scheme labels"));
     };
-    parsed.map_err(|_| KvError::Syntax {
-        line: 0,
-        message: format!("bad seed `{t}`"),
-    })
-}
-
-fn parse_labels(text: &str) -> Result<Vec<SchemeKind>, KvError> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            SchemeKind::from_label(s).ok_or_else(|| KvError::Syntax {
-                line: 0,
-                message: format!("unknown scheme label `{s}`"),
-            })
-        })
-        .collect()
+    let label = |(i, item): (usize, &Json)| {
+        let text = item
+            .as_str()
+            .ok_or_else(|| format!("{key}[{i}]: expected a scheme label"))?;
+        SchemeKind::from_label(text)
+            .ok_or_else(|| format!("{key}[{i}]: unknown scheme label `{text}`"))
+    };
+    items.iter().enumerate().map(label).collect()
 }
 
 impl CorpusEntry {
-    /// Serializes the entry to its `.kv` document text.
-    pub fn to_kv_string(&self) -> String {
-        let mut doc = KvDoc::new();
-        doc.set_str("meta.name", &self.name);
-        doc.set_str("meta.note", &self.note);
-        doc.set_str("meta.seed", &format!("{:#x}", self.seed));
-        doc.set_u64("meta.rounds_per_class", self.rounds_per_class as u64);
-        doc.set_str("expect.leaky", &labels(&self.leaky));
-        doc.set_str("expect.clean", &labels(&self.clean));
-        self.program.write_kv("program", &mut doc);
-        doc.to_toml_string()
+    /// Serializes the entry as its JSON document, one top-level member
+    /// per line.
+    pub fn to_json(&self) -> String {
+        let members = [
+            ("name", Json::from(self.name.clone())),
+            ("note", Json::from(self.note.clone())),
+            ("seed", Json::U64(self.seed)),
+            ("rounds_per_class", Json::U64(self.rounds_per_class as u64)),
+            ("program", self.program.to_json()),
+            ("leaky", labels(&self.leaky)),
+            ("clean", labels(&self.clean)),
+        ];
+        let mut out = String::from("{\n");
+        for (i, (key, value)) in members.iter().enumerate() {
+            let comma = if i + 1 < members.len() { "," } else { "" };
+            out.push_str(&format!("  \"{key}\": {value}{comma}\n"));
+        }
+        out.push_str("}\n");
+        out
     }
 
-    /// Parses an entry from `.kv` document text.
-    pub fn from_kv_str(text: &str) -> Result<CorpusEntry, KvError> {
-        let doc = KvDoc::parse(text)?;
+    /// Parses an entry from its JSON document text. An error names the
+    /// offending member (`seed`, `program.prep[2]`, …), or the byte offset
+    /// where a malformed document stops parsing.
+    pub fn from_json(text: &str) -> Result<CorpusEntry, String> {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        if !matches!(doc, Json::Object(_)) {
+            return Err("expected a JSON object".to_string());
+        }
         Ok(CorpusEntry {
-            name: doc.get_str("meta.name")?.to_string(),
-            note: doc.get_str("meta.note")?.to_string(),
-            seed: parse_seed(doc.get_str("meta.seed")?)?,
-            rounds_per_class: doc.get_usize("meta.rounds_per_class")?,
-            program: AccessProgram::read_kv("program", &doc)?,
-            leaky: parse_labels(doc.get_str("expect.leaky")?)?,
-            clean: parse_labels(doc.get_str("expect.clean")?)?,
+            name: parse_string(&doc, "name")?,
+            note: parse_string(&doc, "note")?,
+            seed: parse_u64(&doc, "seed")?,
+            rounds_per_class: (parse_u64(&doc, "rounds_per_class")?.try_into())
+                .map_err(|_| "rounds_per_class: out of range".to_string())?,
+            program: AccessProgram::from_json(member(&doc, "program")?, "program")?,
+            leaky: parse_labels(&doc, "leaky")?,
+            clean: parse_labels(&doc, "clean")?,
         })
     }
 
     /// Writes the entry to `path`.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        fs::write(path, self.to_kv_string())
+        fs::write(path, self.to_json())
     }
 
     /// Reads an entry from `path`.
     pub fn load(path: &Path) -> Result<CorpusEntry, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        CorpusEntry::from_kv_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+        CorpusEntry::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Replays the entry: every `leaky` scheme must flag, every `clean`
@@ -154,13 +169,13 @@ impl CorpusEntry {
     }
 }
 
-/// Loads every `.kv` entry under `dir`, sorted by file name for
+/// Loads every `.json` entry under `dir`, sorted by file name for
 /// deterministic replay order.
 pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusEntry)>, String> {
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "kv"))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
     paths
@@ -178,7 +193,7 @@ pub fn default_corpus_dir() -> PathBuf {
 /// The corpus seed entry: the scripted MetaLeak Evict+Reload attack of
 /// `crates/attack-sim`, expressed as an access program
 /// ([`metaleak_program`](crate::program::metaleak_program)). The
-/// checked-in `metaleak-evict-reload.kv` is this entry verbatim
+/// checked-in `metaleak-evict-reload.json` is this entry verbatim
 /// (`leakfuzz seed-corpus` regenerates it), so the corpus stays
 /// mechanically in sync with the code.
 pub fn metaleak_entry() -> CorpusEntry {
@@ -210,7 +225,7 @@ mod tests {
         CorpusEntry {
             name: "metaleak-evict-reload".into(),
             note: "scripted MetaLeak attack as a program".into(),
-            // Above i64::MAX, covering the hex seed codec.
+            // Above i64::MAX: the codec reads full-range u64 seeds.
             seed: 0xDEAD_BEEF_DEAD_BEEF,
             rounds_per_class: 32,
             program: metaleak_program(),
@@ -226,10 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn corpus_entry_round_trips_through_kv() {
+    fn corpus_entry_round_trips_through_json() {
         let e = entry();
-        let text = e.to_kv_string();
-        let back = CorpusEntry::from_kv_str(&text).expect("parses");
+        let text = e.to_json();
+        let back = CorpusEntry::from_json(&text).expect("parses");
         assert_eq!(e.name, back.name);
         assert_eq!(e.note, back.note);
         assert_eq!(e.seed, back.seed);
@@ -239,22 +254,43 @@ mod tests {
         assert_eq!(e.clean, back.clean);
         // Serialization is canonical: a second round trip is textual
         // identity (what keeps corpus diffs clean).
-        assert_eq!(text, back.to_kv_string());
+        assert_eq!(text, back.to_json());
     }
 
     #[test]
     fn unknown_scheme_labels_are_rejected() {
-        let text = entry().to_kv_string().replace("Baseline", "Fortress");
-        assert!(CorpusEntry::from_kv_str(&text).is_err());
+        let text = entry().to_json();
+        let err = CorpusEntry::from_json(&text.replace("Baseline", "Fortress")).unwrap_err();
+        assert_eq!(err, "leaky[0]: unknown scheme label `Fortress`");
+
+        // A missing or wrongly typed member is named in the error.
+        let no_program: String = (text.lines())
+            .filter(|l| !l.contains("\"program\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let err = CorpusEntry::from_json(&no_program).unwrap_err();
+        assert_eq!(err, "program: missing");
+        let seed = format!("\"seed\": {},", 0xDEAD_BEEF_DEAD_BEEF_u64);
+        let string_seed = text.replace(&seed, "\"seed\": \"0xdeadbeefdeadbeef\",");
+        let err = CorpusEntry::from_json(&string_seed).unwrap_err();
+        assert_eq!(err, "seed: expected an unsigned integer");
+
+        // A truncated file fails with its path and where parsing stopped.
+        let path = std::env::temp_dir().join(format!("ivl-truncated-{}.json", std::process::id()));
+        fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let err = CorpusEntry::load(&path).unwrap_err();
+        fs::remove_file(&path).unwrap();
+        assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
+        assert!(err.contains(" at byte "), "{err}");
     }
 
     #[test]
     fn checked_in_metaleak_entry_matches_the_code() {
-        let path = default_corpus_dir().join("metaleak-evict-reload.kv");
+        let path = default_corpus_dir().join("metaleak-evict-reload.json");
         let text = fs::read_to_string(&path).expect("seed corpus entry present");
         assert_eq!(
             text,
-            metaleak_entry().to_kv_string(),
+            metaleak_entry().to_json(),
             "seed entry drifted from the code; run `leakfuzz seed-corpus` to refresh"
         );
     }

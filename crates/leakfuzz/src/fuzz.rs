@@ -102,7 +102,7 @@ where
     let strategy = ProgramStrategy::new();
     let start = Instant::now();
     let mut outcome = FuzzOutcome::default();
-    let mut seen: Vec<(SchemeKind, String)> = Vec::new();
+    let mut seen: Vec<(SchemeKind, AccessProgram)> = Vec::new();
     let mut chain = cfg.seed;
 
     for case_index in 0.. {
@@ -130,15 +130,10 @@ where
                 |p| run_program(scheme, p, &cfg.harness).flagged,
                 cfg.shrink_steps,
             );
-            let key = (scheme, {
-                let mut doc = ivl_testkit::kv::KvDoc::new();
-                minimal.write_kv("p", &mut doc);
-                doc.to_toml_string()
-            });
-            if seen.contains(&key) {
+            if seen.iter().any(|(s, p)| *s == scheme && *p == minimal) {
                 continue;
             }
-            seen.push(key);
+            seen.push((scheme, minimal.clone()));
             let finding = Finding {
                 scheme,
                 case_index,

@@ -1,5 +1,5 @@
 //! The access-program grammar the fuzzer searches over, plus its textual
-//! codec (corpus files are `ivl_testkit::kv` documents).
+//! codec (corpus files are JSON documents, one op string per array item).
 //!
 //! A program describes one *round template* of an attacker/victim
 //! interaction over a small shared page universe:
@@ -34,7 +34,7 @@ use std::fmt;
 
 use ivl_sim_core::addr::PageNum;
 use ivl_sim_core::domain::DomainId;
-use ivl_testkit::kv::{KvDoc, KvError};
+use ivl_sim_core::json::Json;
 
 /// First page of the shared universe (level-2-group aligned).
 pub const PAGE_BASE: u64 = 1_000_000;
@@ -195,98 +195,99 @@ impl AccessProgram {
         pages
     }
 
-    /// Serializes the program under `prefix` dotted keys into `doc`
-    /// (`prefix.prep.op00 = "evict v 0 3"`, …). Zero-padded indices keep
-    /// the document's key order equal to program order.
-    pub fn write_kv(&self, prefix: &str, doc: &mut KvDoc) {
-        for (i, op) in self.prep.iter().enumerate() {
-            let text = match op {
-                PrepOp::EvictVictimMeta(r) => format!("evict v {r}"),
-                PrepOp::EvictAttackerMeta(r) => format!("evict a {r}"),
-                PrepOp::Touch { page, write } => format!("touch {} {page}", rw_token(*write)),
-            };
-            doc.set_str(&format!("{prefix}.prep.op{i:02}"), &text);
-        }
-        for (i, op) in self.victim.iter().enumerate() {
-            let text = format!("{} {} {}", op.when.token(), rw_token(op.write), op.page);
-            doc.set_str(&format!("{prefix}.victim.op{i:02}"), &text);
-        }
-        for (i, r) in self.probes.iter().enumerate() {
-            doc.set_str(&format!("{prefix}.probes.op{i:02}"), &format!("probe {r}"));
-        }
+    /// The program as a JSON object of three op-string arrays, `{"prep":
+    /// ["evict v 0 3", …], "victim": […], "probes": […]}`, each in program
+    /// order.
+    pub fn to_json(&self) -> Json {
+        let strings = |ops: Vec<String>| Json::Array(ops.into_iter().map(Json::from).collect());
+        let prep = self.prep.iter().map(|op| match op {
+            PrepOp::EvictVictimMeta(r) => format!("evict v {r}"),
+            PrepOp::EvictAttackerMeta(r) => format!("evict a {r}"),
+            PrepOp::Touch { page, write } => format!("touch {} {page}", rw_token(*write)),
+        });
+        let victim = (self.victim.iter())
+            .map(|op| format!("{} {} {}", op.when.token(), rw_token(op.write), op.page));
+        let probes = self.probes.iter().map(|r| format!("probe {r}"));
+        Json::object([
+            ("prep", strings(prep.collect())),
+            ("victim", strings(victim.collect())),
+            ("probes", strings(probes.collect())),
+        ])
     }
 
-    /// Parses a program previously written by [`write_kv`](Self::write_kv).
-    pub fn read_kv(prefix: &str, doc: &KvDoc) -> Result<AccessProgram, KvError> {
+    /// Parses a program written by [`to_json`](Self::to_json). `path` names
+    /// `v` in the enclosing document (`program`), so an error names the
+    /// member it concerns, such as `program.prep[2]`.
+    pub fn from_json(v: &Json, path: &str) -> Result<AccessProgram, String> {
         let mut prog = AccessProgram::default();
         for phase in ["prep", "victim", "probes"] {
-            for i in 0..100usize {
-                let key = format!("{prefix}.{phase}.op{i:02}");
-                let Some(_) = doc.get(&key) else { break };
-                let text = doc.get_str(&key)?;
-                let parse_err = |msg: &str| KvError::Syntax {
-                    line: 0,
-                    message: format!("{key}: {msg} in `{text}`"),
-                };
-                let toks: Vec<&str> = text.split_whitespace().collect();
-                let page_at = |idx: usize| -> Result<PageRef, KvError> {
-                    let group: u8 = toks
-                        .get(idx)
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| parse_err("bad group"))?;
-                    let slot: u8 = toks
-                        .get(idx + 1)
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| parse_err("bad slot"))?;
-                    if group >= GROUPS || slot >= SLOTS {
-                        return Err(parse_err("page out of universe"));
-                    }
-                    Ok(PageRef { group, slot })
-                };
-                match (phase, toks.first().copied()) {
-                    ("prep", Some("evict")) => {
-                        let r = page_at(2)?;
-                        match toks.get(1).copied() {
-                            Some("v") => prog.prep.push(PrepOp::EvictVictimMeta(r)),
-                            Some("a") => prog.prep.push(PrepOp::EvictAttackerMeta(r)),
-                            _ => return Err(parse_err("expected `v` or `a`")),
-                        }
-                    }
-                    ("prep", Some("touch")) => {
-                        let write = match toks.get(1).copied() {
-                            Some("r") => false,
-                            Some("w") => true,
-                            _ => return Err(parse_err("expected `r` or `w`")),
-                        };
-                        prog.prep.push(PrepOp::Touch {
-                            page: page_at(2)?,
-                            write,
-                        });
-                    }
-                    ("victim", Some(when_tok)) => {
-                        let when = match when_tok {
-                            "always" => When::Always,
-                            "s1" => When::SecretSet,
-                            "s0" => When::SecretClear,
-                            _ => return Err(parse_err("expected always|s1|s0")),
-                        };
-                        let write = match toks.get(1).copied() {
-                            Some("r") => false,
-                            Some("w") => true,
-                            _ => return Err(parse_err("expected `r` or `w`")),
-                        };
-                        prog.victim.push(VictimOp {
-                            page: page_at(2)?,
-                            write,
-                            when,
-                        });
-                    }
-                    ("probes", Some("probe")) => prog.probes.push(page_at(1)?),
-                    _ => return Err(parse_err("unknown op")),
-                }
+            let Some(Json::Array(ops)) = v.get(phase) else {
+                return Err(format!("{path}.{phase}: expected an array of op strings"));
+            };
+            for (i, op) in ops.iter().enumerate() {
+                let at = || format!("{path}.{phase}[{i}]");
+                let text = op
+                    .as_str()
+                    .ok_or_else(|| format!("{}: expected an op string", at()))?;
+                prog.push_op(phase, text)
+                    .map_err(|msg| format!("{}: {msg} in `{text}`", at()))?;
             }
         }
         Ok(prog)
+    }
+
+    /// Parses one op string of `phase` and appends it to the program.
+    fn push_op(&mut self, phase: &str, text: &str) -> Result<(), &'static str> {
+        let toks: Vec<&str> = text.split_whitespace().collect();
+        let page_at = |idx: usize| -> Result<PageRef, &'static str> {
+            let group: u8 = toks
+                .get(idx)
+                .and_then(|t| t.parse().ok())
+                .ok_or("bad group")?;
+            let slot: u8 = toks
+                .get(idx + 1)
+                .and_then(|t| t.parse().ok())
+                .ok_or("bad slot")?;
+            if group >= GROUPS || slot >= SLOTS {
+                return Err("page out of universe");
+            }
+            Ok(PageRef { group, slot })
+        };
+        let write_at = |idx: usize| match toks.get(idx).copied() {
+            Some("r") => Ok(false),
+            Some("w") => Ok(true),
+            _ => Err("expected `r` or `w`"),
+        };
+        match (phase, toks.first().copied()) {
+            ("prep", Some("evict")) => {
+                let r = page_at(2)?;
+                match toks.get(1).copied() {
+                    Some("v") => self.prep.push(PrepOp::EvictVictimMeta(r)),
+                    Some("a") => self.prep.push(PrepOp::EvictAttackerMeta(r)),
+                    _ => return Err("expected `v` or `a`"),
+                }
+            }
+            ("prep", Some("touch")) => self.prep.push(PrepOp::Touch {
+                write: write_at(1)?,
+                page: page_at(2)?,
+            }),
+            ("victim", Some(when_tok)) => {
+                let when = match when_tok {
+                    "always" => When::Always,
+                    "s1" => When::SecretSet,
+                    "s0" => When::SecretClear,
+                    _ => return Err("expected always|s1|s0"),
+                };
+                self.victim.push(VictimOp {
+                    write: write_at(1)?,
+                    page: page_at(2)?,
+                    when,
+                });
+            }
+            ("probes", Some("probe")) => self.probes.push(page_at(1)?),
+            _ => return Err("unknown op"),
+        }
+        Ok(())
     }
 }
 
@@ -349,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn kv_codec_round_trips() {
+    fn json_codec_round_trips() {
         let prog = AccessProgram {
             prep: vec![
                 PrepOp::EvictVictimMeta(PageRef { group: 1, slot: 3 }),
@@ -378,22 +379,35 @@ mod tests {
             ],
             probes: vec![PageRef { group: 1, slot: 3 }, PageRef { group: 0, slot: 7 }],
         };
-        let mut doc = KvDoc::new();
-        prog.write_kv("program", &mut doc);
-        let text = doc.to_toml_string();
-        let parsed = KvDoc::parse(&text).expect("kv parses");
-        let back = AccessProgram::read_kv("program", &parsed).expect("program parses");
+        let text = prog.to_json().to_string();
+        let parsed = Json::parse(&text).expect("JSON parses");
+        let back = AccessProgram::from_json(&parsed, "program").expect("program parses");
         assert_eq!(prog, back);
     }
 
     #[test]
     fn codec_rejects_out_of_universe_pages() {
-        let mut doc = KvDoc::new();
-        doc.set_str("p.probes.op00", "probe 9 0");
-        assert!(AccessProgram::read_kv("p", &doc).is_err());
-        let mut doc = KvDoc::new();
-        doc.set_str("p.prep.op00", "evict x 0 0");
-        assert!(AccessProgram::read_kv("p", &doc).is_err());
+        let err = |text: &str| {
+            let v = Json::parse(text).unwrap();
+            AccessProgram::from_json(&v, "p").unwrap_err()
+        };
+        assert_eq!(
+            err(r#"{"prep": [], "victim": [], "probes": ["probe 9 0"]}"#),
+            "p.probes[0]: page out of universe in `probe 9 0`"
+        );
+        assert_eq!(
+            err(r#"{"prep": ["evict x 0 0"], "victim": [], "probes": []}"#),
+            "p.prep[0]: expected `v` or `a` in `evict x 0 0`"
+        );
+        // A missing phase and a wrongly typed op name their member.
+        assert_eq!(
+            err(r#"{"prep": [], "probes": []}"#),
+            "p.victim: expected an array of op strings"
+        );
+        assert_eq!(
+            err(r#"{"prep": ["evict v 0 0", "touch r 1 1", 7], "victim": [], "probes": []}"#),
+            "p.prep[2]: expected an op string"
+        );
     }
 
     #[test]

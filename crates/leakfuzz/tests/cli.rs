@@ -80,16 +80,20 @@ fn fuzz_writes_corpus_entries_and_traces_for_findings() {
         .expect("run leakfuzz fuzz");
     // Whether or not this tiny run finds something is seed-dependent;
     // what must hold: exit 0 (no protected finding) and every finding
-    // printed has a .kv plus a trace next to it.
+    // printed has a .json entry plus a trace next to it.
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
     let findings = finding_lines(&out);
-    let kvs: Vec<_> = fs::read_dir(&out_dir)
+    let entries: Vec<_> = fs::read_dir(&out_dir)
         .unwrap()
         .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "kv"))
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
         .collect();
-    assert_eq!(kvs.len(), findings.len(), "one corpus entry per finding");
-    for e in kvs {
+    assert_eq!(
+        entries.len(),
+        findings.len(),
+        "one corpus entry per finding"
+    );
+    for e in entries {
         let entry = CorpusEntry::load(&e.path()).expect("finding entry parses");
         assert_eq!(entry.leaky.len(), 1);
         let trace = e.path().with_extension("trace.jsonl");
@@ -119,7 +123,7 @@ fn replay_fails_when_a_clean_expectation_is_violated() {
     entry.name = "tampered".into();
     entry.leaky = Vec::new();
     entry.clean = vec![SchemeKind::Baseline];
-    entry.save(&dir.join("tampered.kv")).unwrap();
+    entry.save(&dir.join("tampered.json")).unwrap();
 
     let out = leakfuzz()
         .args(["replay", "--corpus", dir.to_str().unwrap()])
@@ -132,7 +136,7 @@ fn replay_fails_when_a_clean_expectation_is_violated() {
 
 #[test]
 fn show_prints_the_verdict_matrix() {
-    let path = ivl_leakfuzz::corpus::default_corpus_dir().join("metaleak-evict-reload.kv");
+    let path = ivl_leakfuzz::corpus::default_corpus_dir().join("metaleak-evict-reload.json");
     let out = leakfuzz()
         .args(["show", path.to_str().unwrap()])
         .output()

@@ -6,8 +6,8 @@
 //! * a **functional layer** ([`functional::SecureMemory`]) that stores real
 //!   ciphertext, real split counters, real MACs and a real hash tree, and
 //!   therefore detects spoofing, splicing and replay attacks exactly like a
-//!   secure processor would — this is what the examples, the attack models
-//!   and the tamper-detection tests use;
+//!   secure processor would — this is what the quickstart example, the
+//!   tamper-detection tests and the micro-benches use;
 //! * a **timing layer** ([`subsystem`], [`baseline`]) that models the
 //!   metadata caches and the leaf-to-root verification walk to answer "how
 //!   many cycles and how many extra memory accesses does this data access

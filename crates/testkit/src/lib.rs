@@ -10,11 +10,6 @@
 //!   a [`props!`]/[`prop_assert!`] macro surface close to `proptest`;
 //! * [`bench`] — a micro-benchmark harness (warmup + timed samples,
 //!   median/p95/throughput) replacing `criterion`;
-//! * [`par`] — a scoped-thread parallel runner with a mutex-guarded,
-//!   order-preserving result collector replacing `crossbeam` +
-//!   `parking_lot`;
-//! * [`kv`] — a tiny key=value/TOML-subset serializer replacing `serde`
-//!   for the `ivl-leakfuzz` corpus files;
 //! * [`rng`] — the xoshiro256** generator backing all of the above.
 //!
 //! Everything here is plain `std`; the crate has an empty `[dependencies]`
@@ -22,8 +17,6 @@
 //! stays that way.
 
 pub mod bench;
-pub mod kv;
-pub mod par;
 pub mod prop;
 pub mod rng;
 

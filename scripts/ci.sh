@@ -13,41 +13,45 @@
 #   1. dependency purity    - Cargo.lock and `cargo tree` contain only
 #                             workspace members (no `source =` lines, no
 #                             paths outside the repo)
-#   2. formatting           - cargo fmt --check
-#   3. lints                - cargo clippy --all-targets -D warnings
-#   4. build + test         - --locked --offline, per profile
-#   5. leak corpus replay   - every profile: `leakfuzz replay` re-runs the
+#   2. unsafe census        - `unsafe` appears in no `.rs` file but the
+#                             AES-NI module (crates/crypto/src/aes.rs) and
+#                             the benchmark's timestamp-counter read
+#                             (crates/bench/src/bin/benchmark/src/traced.rs)
+#   3. formatting           - cargo fmt --check
+#   4. lints                - cargo clippy --all-targets -D warnings
+#   5. build + test         - --locked --offline, per profile
+#   6. leak corpus replay   - every profile: `leakfuzz replay` re-runs the
 #                             checked-in counterexample corpus; the Baseline
 #                             must keep flagging and every protected scheme
 #                             must stay clean (drift detector both ways)
-#   6. bench smoke + gate   - one quick ivl-bench micro run, diffed against
+#   7. bench smoke + gate   - one quick ivl-bench micro run, diffed against
 #                             the quick-mode BENCH_pr12.json by bench_compare;
 #                             fails on a median regression beyond the
 #                             threshold (IVL_BENCH_GATE_THRESHOLD, default
 #                             1.5 = 2.5x)
-#   7. observability smoke  - obs_run writes + self-validates a trace
+#   8. observability smoke  - obs_run writes + self-validates a trace
 #                             (JSONL) and stats registry (JSON) for a quick
 #                             mix and a short attack, including a nonzero
 #                             dram.idle_cycles (idle-cycle accounting)
-#   8. timeline smoke       - timeline_report reconciles windowed series
+#   9. timeline smoke       - timeline_report reconciles windowed series
 #                             against registry deltas and round-trips the
 #                             timeline JSONL
-#   9. figures wall-clock   - all_figures --quick (release only) must finish
+#  10. figures wall-clock   - all_figures --quick (release only) must finish
 #                             within IVL_FIGURES_BUDGET_SECS (default 240);
 #                             catches campaign-layer slowdowns the per-bench
 #                             medians cannot see
-#  10. benchmark goldens   - the end-to-end benchmark (release only) runs
+#  11. benchmark goldens   - the end-to-end benchmark (release only) runs
 #                             its four workloads untraced; each must
 #                             reproduce its seed-2024 golden outputs exactly
-#  11. benchmark memory    - the same run's steady-large peak_rss_mib must
+#  12. benchmark memory    - the same run's steady-large peak_rss_mib must
 #                             stay within 45 MiB (release only); peak RSS
 #                             repeats across runs, unlike wall time, so a
 #                             memory regression fails here on any runner
-#  12. benchmark tests     - the benchmark's own test suite (release only),
+#  13. benchmark tests     - the benchmark's own test suite (release only),
 #                             among them the check that its traced driver
 #                             still reproduces `run_mix` bit for bit
 #
-# The fuzz profile builds only leakfuzz in step 4 and replaces steps 6-12
+# The fuzz profile builds only leakfuzz in step 5 and replaces steps 7-13
 # with a budgeted leak-search run (IVL_FUZZ_BUDGET_SECS, default 60):
 # `leakfuzz fuzz` exits 2 — failing this script — if any protected scheme
 # shows a distinguishable timing signal. Findings land in target/leakfuzz/
@@ -90,6 +94,20 @@ if [ -n "$BAD_DEPS" ]; then
     exit 1
 fi
 echo "OK: dependency graph is workspace-only"
+
+step "unsafe census"
+# DESIGN.md §6 ("AES tiers") lists every `unsafe` site: six in the AES-NI
+# module and one in the benchmark's timestamp-counter read. Any other file
+# that so much as mentions the word fails here, so the census cannot drift.
+UNSAFE_ALLOWED='^(crates/crypto/src/aes\.rs|crates/bench/src/bin/benchmark/src/traced\.rs)$'
+UNSAFE_FILES=$(grep -rlw --include='*.rs' --exclude-dir=target unsafe src crates examples tests \
+    | grep -Ev "$UNSAFE_ALLOWED" || true)
+if [ -n "$UNSAFE_FILES" ]; then
+    echo "FAIL: \`unsafe\` outside the AES-NI module and the benchmark's TSC read:" >&2
+    echo "$UNSAFE_FILES" | xargs grep -nw unsafe >&2
+    exit 1
+fi
+echo "OK: unsafe only in the AES-NI module and the benchmark's TSC read"
 
 step "cargo fmt --check"
 cargo fmt --all --check
@@ -227,7 +245,7 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
     fi
 
     step "benchmark tests"
-    # The benchmark is a workspace of its own, so step 4 does not reach its
+    # The benchmark is a workspace of its own, so step 5 does not reach its
     # tests; `traced_driver_is_bit_identical_to_run_mix` holds its copy of
     # the run loop to the program's.
     cargo test --release --offline \
