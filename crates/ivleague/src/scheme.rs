@@ -180,6 +180,26 @@ impl IvLeagueSubsystem {
             "dram.capacity_bytes: {data_pages} pages exceed the {} a TreeLing slot word can name",
             crate::forest::MAX_PAGES
         );
+        // Pro builds each domain's tracker on that domain's first access,
+        // so its settings are checked here rather than mid-run.
+        if variant == IvVariant::Pro {
+            let iv = &cfg.ivleague;
+            assert!(
+                iv.tracker_entries > 0 && u32::try_from(iv.tracker_entries).is_ok(),
+                "ivleague.tracker_entries: {} is not in 1..={} (a tracker slot is a 32-bit index)",
+                iv.tracker_entries,
+                u32::MAX
+            );
+            assert!(
+                (1..=31).contains(&iv.tracker_counter_bits),
+                "ivleague.tracker_counter_bits: {} is not in 1..=31",
+                iv.tracker_counter_bits
+            );
+            assert!(
+                iv.hot_threshold > 0,
+                "ivleague.hot_threshold: must be at least 1"
+            );
+        }
         let data_layout = MetadataLayout::new(data_pages, cfg.secure.tree_arity);
         let forest_cfg =
             ForestConfig::from_ivleague(&cfg.ivleague, cfg.secure.tree_arity as u32, variant);
@@ -1161,6 +1181,37 @@ mod tests {
             2,
             "recycled domain's fresh tracker must promote again"
         );
+    }
+
+    /// A Pro system with one tracker setting replaced.
+    fn pro_with(set: impl FnOnce(&mut IvLeagueConfig)) -> IvLeagueSubsystem {
+        let mut cfg = small_cfg();
+        set(&mut cfg.ivleague);
+        IvLeagueSubsystem::new(&cfg, IvVariant::Pro, AllocatorKind::Nfl)
+    }
+
+    #[test]
+    #[should_panic(expected = "ivleague.tracker_entries")]
+    fn pro_rejects_an_empty_tracker() {
+        pro_with(|iv| iv.tracker_entries = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ivleague.tracker_entries")]
+    fn pro_rejects_a_tracker_past_32_bit_slots() {
+        pro_with(|iv| iv.tracker_entries = u32::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ivleague.tracker_counter_bits")]
+    fn pro_rejects_32_bit_counters() {
+        pro_with(|iv| iv.tracker_counter_bits = 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "ivleague.hot_threshold")]
+    fn pro_rejects_a_zero_hot_threshold() {
+        pro_with(|iv| iv.hot_threshold = 0);
     }
 
     #[test]

@@ -69,30 +69,36 @@ impl IntoIterator for HotEvents {
     }
 }
 
+/// A tracked page. Its replacement key lives only in the tournament leaf.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     page: PageNum,
-    counter: u32,
     promoted: bool,
-    /// Insertion sequence, used to break replacement ties toward the
-    /// oldest entry so striding working sets churn fairly.
-    seq: u64,
 }
 
-/// The access-frequency tracking table.
-///
-/// # Examples
-///
-/// ```
-/// use ivleague::tracker::{HotEvent, HotpageTracker};
-/// use ivl_sim_core::addr::PageNum;
-///
-/// let mut t = HotpageTracker::new(4, 8, 3, 1_000);
-/// let p = PageNum::new(42);
-/// assert!(t.record(p).is_empty());
-/// assert!(t.record(p).is_empty());
-/// assert!(t.record(p).contains(&HotEvent::Promote(p))); // third access
-/// ```
+/// Bit offset of the counter in a packed replacement key.
+const COUNTER_SHIFT: u32 = 96;
+/// Bit offset of the insertion sequence in a packed replacement key.
+const SEQ_SHIFT: u32 = 32;
+/// Low 96 bits of a key: its `seq` and slot, with the counter zeroed.
+const SEQ_IDX_MASK: u128 = (1 << COUNTER_SHIFT) - 1;
+
+/// Packs a replacement key, `counter << 96 | seq << 32 | idx`. The fields
+/// sit most-significant first and never overlap, so integer order is the
+/// lexicographic order of `(counter, seq, idx)`. The insertion sequence
+/// `seq` breaks counter ties toward the oldest entry, so striding working
+/// sets churn fairly.
+#[inline]
+fn pack_key(counter: u32, seq: u64, idx: u32) -> u128 {
+    (counter as u128) << COUNTER_SHIFT | (seq as u128) << SEQ_SHIFT | idx as u128
+}
+
+/// The counter field of a packed key.
+#[inline]
+fn key_counter(key: u128) -> u32 {
+    (key >> COUNTER_SHIFT) as u32
+}
+
 /// Minimal open-addressed page→entry index: linear probing with
 /// backward-shift deletion, slots holding `entry_index + 1` (0 = empty).
 /// Keys are not duplicated here — a probe compares against
@@ -185,6 +191,20 @@ impl PageIndex {
     }
 }
 
+/// The access-frequency tracking table.
+///
+/// # Examples
+///
+/// ```
+/// use ivleague::tracker::{HotEvent, HotpageTracker};
+/// use ivl_sim_core::addr::PageNum;
+///
+/// let mut t = HotpageTracker::new(4, 8, 3, 1_000);
+/// let p = PageNum::new(42);
+/// assert!(t.record(p).is_empty());
+/// assert!(t.record(p).is_empty());
+/// assert!(t.record(p).contains(&HotEvent::Promote(p))); // third access
+/// ```
 #[derive(Debug, Clone)]
 pub struct HotpageTracker {
     entries: Vec<Entry>,
@@ -193,14 +213,15 @@ pub struct HotpageTracker {
     /// the Pro data-access critical path; the index keeps hits
     /// constant-time and lets misses skip straight to victim selection.
     index: PageIndex,
-    /// Tournament (segment) tree of `(counter, seq)` keys over the entry
-    /// slots: `tree[leaf_base + i]` mirrors entry `i`'s live key and every
-    /// internal node holds the minimum of its children, so the root names
-    /// the entry the old first-minimum scan selected (`seq` values are
-    /// unique, making the minimum unambiguous). A counter bump, slot reuse,
-    /// or interval clear refreshes one leaf-to-root path — a handful of
-    /// branch-predictable array steps, with no stale keys to churn through.
-    tree: Vec<(u32, u64, u32)>,
+    /// Tournament (segment) tree of packed replacement keys over the entry
+    /// slots: `tree[leaf_base + i]` is entry `i`'s key (see [`pack_key`]),
+    /// its only copy of `counter` and `seq`, and every internal node holds
+    /// the minimum of its children. The root's low 32 bits name the entry
+    /// the old first-minimum scan selected (`seq` values are unique, making
+    /// the minimum unambiguous). A counter bump, slot reuse, or interval
+    /// clear refreshes one leaf-to-root path of integer `min`s, which
+    /// compile to compare and conditional move.
+    tree: Vec<u128>,
     /// First leaf index in `tree` (`capacity` rounded up to a power of two).
     leaf_base: usize,
     capacity: usize,
@@ -218,19 +239,20 @@ impl HotpageTracker {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`, `threshold == 0` or `counter_bits` is not
-    /// in `1..=31`.
+    /// Panics if `capacity` is 0 or above `u32::MAX`, `threshold == 0` or
+    /// `counter_bits` is not in `1..=31`.
     pub fn new(capacity: usize, counter_bits: u32, threshold: u32, clear_interval: u64) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0 && u32::try_from(capacity).is_ok());
         assert!((1..=31).contains(&counter_bits));
         assert!(threshold > 0);
         let leaf_base = capacity.next_power_of_two();
         HotpageTracker {
             entries: Vec::with_capacity(capacity),
             index: PageIndex::new(capacity),
-            // Empty leaves hold the maximal key; victim selection only runs
-            // on a full table, so a sentinel never wins the tournament.
-            tree: vec![(u32::MAX, u64::MAX, u32::MAX); 2 * leaf_base],
+            // Empty leaves hold the maximal key, whose counter field exceeds
+            // any 31-bit counter; victim selection only runs on a full
+            // table, so a sentinel never wins the tournament.
+            tree: vec![u128::MAX; 2 * leaf_base],
             leaf_base,
             capacity,
             counter_max: (1 << counter_bits) - 1,
@@ -241,12 +263,12 @@ impl HotpageTracker {
         }
     }
 
-    /// Publishes entry `idx`'s live `(counter, seq)` key and refreshes the
-    /// tournament minima on its leaf-to-root path.
+    /// Writes entry `idx`'s key into its leaf and refreshes the tournament
+    /// minima on its leaf-to-root path.
     #[inline]
-    fn update_key(&mut self, idx: u32, counter: u32, seq: u64) {
+    fn set_key(&mut self, idx: u32, key: u128) {
         let mut i = self.leaf_base + idx as usize;
-        self.tree[i] = (counter, seq, idx);
+        self.tree[i] = key;
         while i > 1 {
             i >>= 1;
             self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
@@ -259,11 +281,12 @@ impl HotpageTracker {
         self.accesses_since_clear += 1;
         if self.accesses_since_clear >= self.clear_interval {
             self.accesses_since_clear = 0;
-            // Reset every counter, then rebuild the tournament bottom-up in
-            // one pass rather than replaying per-leaf updates.
-            for (i, e) in self.entries.iter_mut().enumerate() {
-                e.counter = 0;
-                self.tree[self.leaf_base + i] = (0, e.seq, i as u32);
+            // Zero every live leaf's counter, keeping its `seq` and slot,
+            // then rebuild the tournament bottom-up in one pass rather than
+            // replaying per-leaf updates.
+            let live = self.leaf_base..self.leaf_base + self.entries.len();
+            for key in &mut self.tree[live] {
+                *key &= SEQ_IDX_MASK;
             }
             for i in (1..self.leaf_base).rev() {
                 self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
@@ -271,15 +294,14 @@ impl HotpageTracker {
         }
 
         if let Some(i) = self.index.get(page, &self.entries) {
-            let e = &mut self.entries[i as usize];
-            let bumped = (e.counter + 1).min(self.counter_max);
-            if bumped != e.counter {
-                e.counter = bumped;
-                let seq = e.seq;
-                self.update_key(i, bumped, seq);
+            let key = self.tree[self.leaf_base + i as usize];
+            let counter = key_counter(key);
+            let bumped = (counter + 1).min(self.counter_max);
+            if bumped != counter {
+                self.set_key(i, key + (1 << COUNTER_SHIFT));
             }
             let e = &mut self.entries[i as usize];
-            if !e.promoted && e.counter >= self.threshold {
+            if !e.promoted && bumped >= self.threshold {
                 e.promoted = true;
                 events.push(HotEvent::Promote(page));
             }
@@ -287,16 +309,12 @@ impl HotpageTracker {
         }
 
         self.next_seq += 1;
-        let mut new_entry = Entry {
-            page,
-            counter: 1,
-            promoted: false,
-            seq: self.next_seq,
-        };
-        if new_entry.counter >= self.threshold {
-            new_entry.promoted = true;
+        // A new entry starts at counter 1.
+        let promoted = 1 >= self.threshold;
+        if promoted {
             events.push(HotEvent::Promote(page));
         }
+        let new_entry = Entry { page, promoted };
         let idx = if self.entries.len() < self.capacity {
             let idx = self.entries.len() as u32;
             self.entries.push(new_entry);
@@ -305,7 +323,7 @@ impl HotpageTracker {
             // Replace the smallest `(counter, seq)` — the root of the
             // tournament, which is exactly the entry the pre-index
             // first-minimum scan picked, since `seq` values are unique.
-            let idx = self.tree[1].2;
+            let idx = self.tree[1] as u32;
             let victim = self.entries[idx as usize];
             if victim.promoted {
                 events.push(HotEvent::Demote(victim.page));
@@ -314,14 +332,16 @@ impl HotpageTracker {
             self.entries[idx as usize] = new_entry;
             idx
         };
-        self.update_key(idx, 1, self.next_seq);
+        self.set_key(idx, pack_key(1, self.next_seq, idx));
         self.index.insert(page, idx);
         events
     }
 
     /// Whether `page` is currently marked hot.
     pub fn is_hot(&self, page: PageNum) -> bool {
-        self.entries.iter().any(|e| e.page == page && e.promoted)
+        self.index
+            .get(page, &self.entries)
+            .is_some_and(|i| self.entries[i as usize].promoted)
     }
 
     /// Number of tracked pages.
@@ -348,11 +368,21 @@ mod tests {
     /// replacement-victim search (smallest counter, ties toward the oldest
     /// entry; strict `<` keeps the first minimum).
     mod reference {
-        use super::super::{Entry, HotEvent, HotEvents};
+        use super::super::{HotEvent, HotEvents};
         use ivl_sim_core::addr::PageNum;
 
+        /// One tracker line, holding its counter and insertion sequence
+        /// beside the page.
+        #[derive(Clone, Copy)]
+        struct Line {
+            page: PageNum,
+            counter: u32,
+            promoted: bool,
+            seq: u64,
+        }
+
         pub struct RefTracker {
-            entries: Vec<Entry>,
+            entries: Vec<Line>,
             capacity: usize,
             counter_max: u32,
             threshold: u32,
@@ -412,7 +442,7 @@ mod tests {
                     return events;
                 }
                 self.next_seq += 1;
-                let mut new_entry = Entry {
+                let mut new_entry = Line {
                     page,
                     counter: 1,
                     promoted: false,
@@ -466,11 +496,13 @@ mod tests {
             (4, 2, 1, 1, 16),                   // clears every access
             (128, 8, 16, 1_000, 512),           // default-shaped geometry
             (1, 4, 2, 50, 8),                   // single-entry churn
+            (32, 31, 2_000, 40_000, 256),       // counters climb past 8 bits
         ];
         for (ci, &(cap, bits, thr, clear, universe)) in configs.iter().enumerate() {
             let mut new = HotpageTracker::new(cap, bits, thr, clear);
             let mut oracle = reference::RefTracker::new(cap, bits, thr, clear);
             let mut rng = 0xD1F0_0000u64 + ci as u64;
+            let (mut peak_counter, mut promotions, mut demotions) = (0, 0, 0);
             for op in 0..50_000u64 {
                 let r = splitmix64(&mut rng);
                 // Skew toward a small hot set half the time so promotions
@@ -482,6 +514,12 @@ mod tests {
                 };
                 let got = new.record(page);
                 let want = oracle.record(page);
+                for e in want {
+                    match e {
+                        HotEvent::Promote(_) => promotions += 1,
+                        HotEvent::Demote(_) => demotions += 1,
+                    }
+                }
                 assert_eq!(
                     got, want,
                     "config {ci}: events diverged at op {op} on page {page:?}"
@@ -492,6 +530,9 @@ mod tests {
                     "config {ci}: len diverged at op {op}"
                 );
                 if op % 997 == 0 {
+                    let leaves = &new.tree[new.leaf_base..][..new.len()];
+                    let peak = leaves.iter().map(|&k| key_counter(k)).max();
+                    peak_counter = peak_counter.max(peak.unwrap_or(0));
                     for q in 0..universe.min(64) {
                         assert_eq!(
                             new.is_hot(p(q)),
@@ -500,6 +541,46 @@ mod tests {
                         );
                     }
                 }
+            }
+            assert!(promotions > 0, "config {ci}: no promotion fired");
+            if bits > 8 {
+                assert!(
+                    peak_counter > 255 && demotions > 0,
+                    "config {ci}: wide counters peaked at {peak_counter} \
+                     with {demotions} demotions"
+                );
+            }
+        }
+    }
+
+    /// Integer order of packed keys must be the tuple order of
+    /// `(counter, seq, idx)`, including at each field's limits, where a
+    /// field spilling into its neighbour would show.
+    #[test]
+    fn packed_key_orders_like_the_tuple() {
+        let counters = [0, 1, 2, (1 << 31) - 2, (1 << 31) - 1];
+        let seqs = [0, 1, u64::MAX - 1, u64::MAX];
+        let idxs = [0, 1, u32::MAX - 1, u32::MAX];
+        let mut keys = Vec::new();
+        for &c in &counters {
+            for &s in &seqs {
+                for &i in &idxs {
+                    keys.push((c, s, i));
+                }
+            }
+        }
+        for &a in &keys {
+            let ka = pack_key(a.0, a.1, a.2);
+            assert_eq!(key_counter(ka), a.0);
+            assert_eq!(ka & SEQ_IDX_MASK, pack_key(0, a.1, a.2));
+            assert_eq!(ka as u32, a.2);
+            assert!(ka < u128::MAX, "a live key must sort below the sentinel");
+            for &b in &keys {
+                assert_eq!(
+                    ka.cmp(&pack_key(b.0, b.1, b.2)),
+                    a.cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
             }
         }
     }
